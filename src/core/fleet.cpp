@@ -1,14 +1,17 @@
 #include "core/fleet.h"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <future>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "core/checkpoint_store.h"
 #include "trace/trace_reader.h"
@@ -50,9 +53,19 @@ int verdict_rank(Verdict v) {
   return 0;
 }
 
-std::size_t resolve_threads(std::size_t threads) {
-  if (threads == 0) return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  return threads;
+/// Records one shard FIFO entry stands for: a batch's length, or a window's
+/// sensor count (the weight add_window bills).
+std::size_t weight_of(std::span<const SensorRecord> recs) { return recs.size(); }
+std::size_t weight_of(const ObservationSet& window) { return window.sensor_count(); }
+
+/// Close `p`'s partial window, returning a throw instead of propagating it.
+std::exception_ptr finish_pipeline(DetectionPipeline& p) {
+  try {
+    p.finish();
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
 }
 
 /// Human-readable message of a captured exception, for attributed statuses.
@@ -128,34 +141,62 @@ std::string to_string(const FleetReport& r) {
   return os.str();
 }
 
-/// Per-region ingest queue. The shard's pipeline is only ever advanced by
-/// the single drain task in flight for it (`draining` guards task spawning),
-/// which is the single-writer invariant the parallel path relies on.
-/// producer_buf belongs to the (single) producer thread and is handed off
-/// under the lock once per FleetConfig::batch_records, so the per-record
-/// cost of add_record is one push_back. Workers never touch health_
-/// directly: a failure is parked in `error`/`dropped` under the lock and the
-/// producer folds it into the region's health record at the next flush or
-/// drain -- keeping every health transition on the caller thread, hence
-/// deterministic at any thread count.
+/// Per-region shard: one FIFO of record batches and windows in arrival
+/// order, and the one place a fleet advances a region's pipeline (apply).
+/// At threads > 1 the FIFO is drained by at most one pool task at a time
+/// (`draining` guards task spawning), which is the single-writer invariant
+/// the fleet relies on; at threads = 1 the caller applies its own span or
+/// window in place and the FIFO stays empty. producer_buf belongs to the
+/// (single) producer thread and is handed off under the lock once per
+/// FleetConfig::batch_records, so the per-record cost of add_record is one
+/// push_back. Workers never touch health_ directly: a failure is parked in
+/// `error`/`dropped` under the lock and the producer folds it into the
+/// region's health record (absorb_shard_faults) -- keeping every health
+/// transition on the caller thread, hence deterministic at any thread count.
 struct FleetMonitor::Shard {
   Shard(std::string region_name, DetectionPipeline& p)
       : name(std::move(region_name)), pipeline(&p) {}
+
+  /// Run one record span or window through the pipeline. A throw parks the
+  /// error, and every later item is dropped unapplied (the pipeline's state
+  /// after a throw is unknown, so applying more would be worse). Dropped
+  /// items count in `dropped` at their full weight -- accounting is item-
+  /// granular. Returns false when the item was dropped. Only the thread
+  /// currently applying writes `error`, so reading it here needs no lock.
+  template <class Work>
+  bool apply(const Work& work) {
+    if (!error) {
+      try {
+        if constexpr (std::is_same_v<Work, ObservationSet>) {
+          pipeline->process_window(work);
+        } else {
+          pipeline->add_records(work);
+        }
+        return true;
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        error = std::current_exception();
+      }
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    dropped += weight_of(work);
+    return false;
+  }
 
   std::string name;
   std::vector<SensorRecord> producer_buf;  // producer-thread-only
   std::mutex mu;
   std::condition_variable cv;  // queue shrank, drain finished, or error set
-  // Queue of whole producer batches: handoff moves one vector instead of
-  // copying records element-wise, and the drain side replays each batch
-  // through the pipeline's fused add_records span entry. queue_records
-  // tracks the record total for backpressure.
-  std::deque<std::vector<SensorRecord>> queue;
+  // Whole producer batches and copied windows, in arrival order: handoff
+  // moves one vector instead of copying records element-wise, and the drain
+  // side replays each batch as one fused span. queue_records counts the
+  // batches' records for backpressure; windows are coarse and uncapped.
+  using Fifo = std::deque<std::variant<std::vector<SensorRecord>, ObservationSet>>;
+  Fifo queue;
   std::size_t queue_records = 0;
-  std::deque<ObservationSet> window_queue;  // add_window feed (coarse; uncapped)
-  bool draining = false;       // a pool task owns this shard's pipeline
-  std::exception_ptr error;    // first pipeline exception, folded into health
-  std::size_t dropped = 0;     // records discarded behind a failure
+  bool draining = false;     // a pool task owns this shard's pipeline
+  std::exception_ptr error;  // first pipeline exception, folded into health
+  std::size_t dropped = 0;   // accepted records discarded behind a failure
   DetectionPipeline* pipeline;
 };
 
@@ -255,8 +296,8 @@ FleetMonitor::FleetMonitor(FleetConfig cfg) : cfg_(cfg) {
     throw std::invalid_argument(
         "FleetMonitor: malformed ratios must satisfy 0 <= degraded <= quarantine <= 1");
   }
-  cfg_.threads = resolve_threads(cfg_.threads);
-  if (cfg_.threads > 1) pool_ = std::make_unique<util::ThreadPool>(cfg_.threads);
+  pool_ = std::make_unique<util::ThreadPool>(cfg_.threads);  // 0 = default_concurrency()
+  cfg_.threads = pool_->size();
   if (!cfg_.checkpoint_dir.empty()) {
     store_ = std::make_unique<CheckpointStore>(cfg_.checkpoint_dir);
     committer_ = std::make_unique<Committer>(*this);
@@ -306,7 +347,7 @@ void FleetMonitor::add_region(const std::string& name, PipelineConfig cfg) {
   const auto [it, inserted] = regions_.try_emplace(name, std::move(cfg));
   if (!inserted) throw std::invalid_argument("FleetMonitor: duplicate region " + name);
   health_.emplace(name, RegionState{});
-  if (pool_) register_shard(name, it->second);
+  register_shard(name, it->second);
 }
 
 void FleetMonitor::add_region(const std::string& name, PipelineConfig cfg,
@@ -314,7 +355,7 @@ void FleetMonitor::add_region(const std::string& name, PipelineConfig cfg,
   const auto [it, inserted] = regions_.try_emplace(name, std::move(cfg), checkpoint);
   if (!inserted) throw std::invalid_argument("FleetMonitor: duplicate region " + name);
   health_.emplace(name, RegionState{});
-  if (pool_) register_shard(name, it->second);
+  register_shard(name, it->second);
 }
 
 util::Result<std::uint64_t> FleetMonitor::add_region_resumed(const std::string& name,
@@ -401,6 +442,9 @@ void FleetMonitor::absorb_shard_faults() const {
     }
     RegionState& st = state_of(name);
     if (dropped > 0) {
+      // Parked drops were accepted (counted ingested) before they were
+      // discarded: move them over, so ingested + dropped == offered.
+      st.records_ingested -= dropped;
       st.records_dropped += dropped;
       m_dropped_->add(dropped);
     }
@@ -411,6 +455,10 @@ void FleetMonitor::absorb_shard_faults() const {
                  err);
     }
   }
+}
+
+FleetMonitor::Shard& FleetMonitor::shard_of(const std::string& region) const {
+  return *shards_.find(region)->second;
 }
 
 void FleetMonitor::add_record(const std::string& region, const SensorRecord& rec) {
@@ -425,32 +473,16 @@ void FleetMonitor::add_records(const std::string& region, std::span<const Sensor
     m_dropped_->add(recs.size());
     return;
   }
-  if (!pool_) {
-    auto& pipeline = regions_.find(region)->second;
-    try {
-      // One fused span pass through the pipeline's windower -- no
-      // per-record dispatch. Accounting is span-granular: a pipeline
-      // exception quarantines the region and counts the whole span as
-      // dropped (the poisoned pipeline's exact progress is unknowable and
-      // the region stops voting either way).
-      pipeline.add_records(recs);
-      st.records_ingested += recs.size();
-    } catch (...) {
-      const auto err = std::current_exception();
-      st.records_dropped += recs.size();
-      m_dropped_->add(recs.size());
-      quarantine(region,
-                 util::Status(util::StatusCode::kInternal,
-                              "region " + region + ": pipeline failed: " + describe(err)),
-                 err);
-    }
-    maybe_checkpoint(region, st);
-    return;
-  }
-  Shard& sh = *shards_.find(region)->second;
-  sh.producer_buf.insert(sh.producer_buf.end(), recs.begin(), recs.end());
+  Shard& sh = shard_of(region);
   st.records_ingested += recs.size();
-  if (sh.producer_buf.size() >= cfg_.batch_records) flush_shard(sh);
+  if (cfg_.threads == 1) {
+    // The shard drained inline: one fused pass over the caller's own span,
+    // no copy and no handoff.
+    if (!sh.apply(recs)) absorb_shard_faults();
+  } else {
+    sh.producer_buf.insert(sh.producer_buf.end(), recs.begin(), recs.end());
+    if (sh.producer_buf.size() >= cfg_.batch_records) flush_shard(sh);
+  }
   maybe_checkpoint(region, st);
 }
 
@@ -463,47 +495,13 @@ void FleetMonitor::add_window(const std::string& region, const ObservationSet& w
     return;
   }
   m_windows_->inc();
-  if (!pool_) {
-    auto& pipeline = regions_.find(region)->second;
-    try {
-      pipeline.process_window(window);
-      st.records_ingested += weight;
-    } catch (...) {
-      const auto err = std::current_exception();
-      st.records_dropped += weight;
-      m_dropped_->add(weight);
-      quarantine(region,
-                 util::Status(util::StatusCode::kInternal,
-                              "region " + region + ": pipeline failed: " + describe(err)),
-                 err);
-    }
-    maybe_checkpoint(region, st);
-    return;
+  Shard& sh = shard_of(region);
+  st.records_ingested += weight;
+  if (cfg_.threads == 1) {
+    if (!sh.apply(window)) absorb_shard_faults();  // in place, no copy
+  } else {
+    flush_shard(sh, &window);
   }
-  Shard& sh = *shards_.find(region)->second;
-  // Hand off buffered records first so they sit ahead of this window in the
-  // drain order (windows are coarse enough that the extra handoff is noise).
-  if (!sh.producer_buf.empty()) flush_shard(sh);
-  bool start_drain = false;
-  bool failed = false;
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    if (sh.error) {
-      sh.dropped += weight;
-      failed = true;
-    } else {
-      sh.window_queue.push_back(window);
-      if (!sh.draining) {
-        sh.draining = true;
-        start_drain = true;
-      }
-    }
-  }
-  if (!failed) st.records_ingested += weight;
-  if (start_drain) {
-    pool_->post([this, &sh] { drain_shard(sh); });
-  }
-  if (failed) absorb_shard_faults();
   maybe_checkpoint(region, st);
 }
 
@@ -519,12 +517,7 @@ void FleetMonitor::commit_region_checkpoint(const std::string& region, RegionSta
   // Quiesce this region's shard first: the pipeline must be at a record
   // boundary and untouched by workers while it serializes (the single-writer
   // invariant), and a resumed run replays from exactly records_ingested.
-  if (pool_) {
-    Shard& sh = *shards_.find(region)->second;
-    flush_shard(sh);
-    wait_shard(sh);
-    absorb_shard_faults();
-  }
+  quiesce(shard_of(region));
   if (st.health == RegionHealth::kQuarantined) return;  // suspect state: never persisted
   Committer::Pending p;
   p.region = region;
@@ -688,17 +681,20 @@ FleetMonitor::IngestSummary FleetMonitor::ingest_file(const std::string& region,
   return ingest(region, *reader, 0, skip_records);
 }
 
-/// Hand the producer buffer to the shard queue and make sure a drain task
-/// is (or will be) running. Called by the producer thread only. A parked
-/// worker error makes this a drop-and-fold instead of a handoff.
-void FleetMonitor::flush_shard(Shard& sh) const {
-  if (sh.producer_buf.empty()) return;
+/// Hand the producer buffer -- then `window`, if given, behind it -- to the
+/// shard's FIFO and make sure a drain task is (or will be) running. Called
+/// by the producer thread only. A parked worker error makes this a
+/// drop-and-fold instead of a handoff.
+void FleetMonitor::flush_shard(Shard& sh, const ObservationSet* window) const {
   const std::size_t nbuf = sh.producer_buf.size();
+  if (nbuf == 0 && window == nullptr) return;
+  std::optional<ObservationSet> copy;
+  if (window != nullptr) copy.emplace(*window);  // copied outside the lock
   bool start_drain = false;
   bool failed = false;
   {
     std::unique_lock<std::mutex> lock(sh.mu);
-    if (!sh.error) {
+    if (nbuf > 0 && !sh.error) {
       // Backpressure: block while the region's queue is at capacity
       // (records, not batches). A full queue is a documented-healthy state
       // (the producer simply outran the pipeline), counted -- and the block
@@ -717,28 +713,30 @@ void FleetMonitor::flush_shard(Shard& sh) const {
                 .count());
         st.backpressure_block_ns += blocked;
         m_backpressure_ns_->add(blocked);
-      } else {
-        sh.cv.wait(lock, [&] { return sh.queue_records < cfg_.max_queue_records || sh.error; });
       }
     }
     if (sh.error) {
-      sh.dropped += nbuf;
+      sh.dropped += nbuf + (copy ? weight_of(*copy) : 0);
       failed = true;
     } else {
-      // Whole-batch handoff: one vector move, no per-record copies. The
-      // drain side applies the batch as a single fused span.
-      sh.queue.push_back(std::move(sh.producer_buf));
-      sh.queue_records += nbuf;
-      m_queue_depth_->record(sh.queue_records);
+      if (nbuf > 0) {
+        // Whole-batch handoff: one vector move, no per-record copies.
+        sh.queue.emplace_back(std::move(sh.producer_buf));
+        sh.queue_records += nbuf;
+        m_queue_depth_->record(sh.queue_records);
+      }
+      if (copy) sh.queue.emplace_back(std::move(*copy));
       if (!sh.draining) {
         sh.draining = true;
         start_drain = true;
       }
     }
   }
-  m_handoffs_->inc();
-  if (!failed) m_enqueued_->add(nbuf);
-  sh.producer_buf.clear();
+  if (nbuf > 0) {
+    m_handoffs_->inc();
+    if (!failed) m_enqueued_->add(nbuf);
+    sh.producer_buf.clear();
+  }
   if (start_drain) {
     pool_->post([this, &sh] { drain_shard(sh); });
   }
@@ -747,68 +745,42 @@ void FleetMonitor::flush_shard(Shard& sh) const {
 
 void FleetMonitor::drain_shard(Shard& sh) const {
   for (;;) {
-    std::deque<std::vector<SensorRecord>> batches;
-    std::deque<ObservationSet> wbatch;
+    Shard::Fifo items;
     std::size_t taken = 0;
     {
       std::lock_guard<std::mutex> lock(sh.mu);
-      if (sh.queue.empty() && sh.window_queue.empty()) {
+      if (sh.queue.empty()) {
         sh.draining = false;
         sh.cv.notify_all();
         return;
       }
-      batches.swap(sh.queue);
+      items.swap(sh.queue);
       taken = sh.queue_records;
       sh.queue_records = 0;
-      wbatch.swap(sh.window_queue);
     }
     sh.cv.notify_all();  // queue emptied; unblock backpressured producers
-    std::size_t applied = 0;
-    std::size_t wapplied = 0;
-    try {
-      // Each handed-off batch replays as one fused span -- FIFO order, so
-      // the record sequence (hence the report) is identical to the serial
-      // path's.
-      for (const auto& batch : batches) {
-        sh.pipeline->add_records(batch);
-        applied += batch.size();
-      }
-      for (const auto& w : wbatch) {
-        sh.pipeline->process_window(w);
-        ++wapplied;
-      }
-      m_drained_->add(taken);
-      m_drain_batches_->inc();
-      SENTINEL_FAULT_POINT(util::fault::kDrainBatch);
-    } catch (...) {
-      // Park the failure for the producer to fold into the region's health;
-      // everything from the poison batch on is discarded (the pipeline's
-      // state after a throw is unknown, so applying more would be worse).
-      // Accounting is span-granular: the failing batch counts as dropped in
-      // full. Unapplied windows count at their record weight, matching
-      // ingest.
-      std::lock_guard<std::mutex> lock(sh.mu);
-      sh.error = std::current_exception();
-      sh.dropped += (taken - applied) + sh.queue_records;
-      for (std::size_t i = wapplied; i < wbatch.size(); ++i) {
-        sh.dropped += wbatch[i].sensor_count();
-      }
-      for (const auto& w : sh.window_queue) sh.dropped += w.sensor_count();
-      sh.queue.clear();
-      sh.queue_records = 0;
-      sh.window_queue.clear();
-      sh.draining = false;
-      sh.cv.notify_all();
-      return;
+    // Arrival order, so the record sequence (hence the report) is identical
+    // to the threads = 1 path's. After a failure apply() only counts drops.
+    bool applied = true;
+    for (const auto& item : items) {
+      applied = std::visit([&sh](const auto& work) { return sh.apply(work); }, item) && applied;
     }
+    if (!applied) continue;
+    m_drained_->add(taken);
+    m_drain_batches_->inc();
+    SENTINEL_FAULT_POINT(util::fault::kDrainBatch);
   }
 }
 
 void FleetMonitor::wait_shard(Shard& sh) const {
   std::unique_lock<std::mutex> lock(sh.mu);
-  sh.cv.wait(lock, [&] {
-    return sh.error || (!sh.draining && sh.queue.empty() && sh.window_queue.empty());
-  });
+  sh.cv.wait(lock, [&] { return !sh.draining && sh.queue.empty(); });
+}
+
+void FleetMonitor::quiesce(Shard& sh) const {
+  flush_shard(sh);
+  wait_shard(sh);
+  absorb_shard_faults();
 }
 
 void FleetMonitor::drain() const {
@@ -821,61 +793,48 @@ void FleetMonitor::drain() const {
   absorb_shard_faults();
 }
 
+template <class Job, class Apply>
+void FleetMonitor::for_each_region(Job job, Apply apply) const {
+  using Result = std::invoke_result_t<Job&, const std::string&, DetectionPipeline&>;
+  std::vector<std::pair<const std::string*, std::future<Result>>> jobs;
+  jobs.reserve(shards_.size());
+  for (const auto& [name, shard] : shards_) {
+    if (state_of(name).health == RegionHealth::kQuarantined) continue;
+    DetectionPipeline& pipeline = *shard->pipeline;
+    jobs.emplace_back(&name, pool_->submit([&job, &name, &pipeline] {
+      return job(name, pipeline);
+    }));
+  }
+  // Join everything first (no job may outlive a throwing one), then apply
+  // outcomes in region-name order so the results are deterministic.
+  for (auto& [name, fut] : jobs) fut.wait();
+  for (auto& [name, fut] : jobs) apply(*name, fut.get());
+}
+
+void FleetMonitor::finished(const std::string& name, std::exception_ptr err) {
+  if (err) {
+    quarantine(name,
+               util::Status(util::StatusCode::kInternal,
+                            "region " + name + ": finish failed: " + describe(err)),
+               err);
+  }
+  const RegionState& st = state_of(name);
+  if (cfg_.health.flag_silent_regions && st.health == RegionHealth::kHealthy &&
+      st.records_ingested == 0) {
+    degrade(name, util::Status(util::StatusCode::kUnavailable,
+                               "region " + name + ": no records ingested"));
+  }
+}
+
 void FleetMonitor::finish() {
   drain();
   // Flush partial windows for live regions only; a quarantined pipeline's
   // state is suspect and is left untouched so healthy-region results match
   // a fleet that never contained it.
-  const auto live = [this](const std::string& name) {
-    return state_of(name).health != RegionHealth::kQuarantined;
-  };
-  if (!pool_ || regions_.size() <= 1) {
-    for (auto& [name, pipeline] : regions_) {
-      if (!live(name)) continue;
-      try {
-        pipeline.finish();
-      } catch (...) {
-        const auto err = std::current_exception();
-        quarantine(name,
-                   util::Status(util::StatusCode::kInternal,
-                                "region " + name + ": finish failed: " + describe(err)),
-                   err);
-      }
-    }
-  } else {
-    std::vector<std::pair<const std::string*, std::future<std::exception_ptr>>> jobs;
-    jobs.reserve(regions_.size());
-    for (auto& [name, pipeline] : regions_) {
-      if (!live(name)) continue;
-      jobs.emplace_back(&name, pool_->submit([&pipeline]() -> std::exception_ptr {
-        try {
-          pipeline.finish();
-        } catch (...) {
-          return std::current_exception();
-        }
-        return nullptr;
-      }));
-    }
-    // Join everything first, then apply outcomes in region-name order so
-    // the resulting health transitions are deterministic.
-    for (auto& [name, job] : jobs) job.wait();
-    for (auto& [name, job] : jobs) {
-      if (const auto err = job.get()) {
-        quarantine(*name,
-                   util::Status(util::StatusCode::kInternal,
-                                "region " + *name + ": finish failed: " + describe(err)),
-                   err);
-      }
-    }
-  }
-  if (cfg_.health.flag_silent_regions) {
-    for (auto& [name, st] : health_) {
-      if (st.health == RegionHealth::kHealthy && st.records_ingested == 0) {
-        degrade(name, util::Status(util::StatusCode::kUnavailable,
-                                   "region " + name + ": no records ingested"));
-      }
-    }
-  }
+  for_each_region([](const std::string&, DetectionPipeline& p) { return finish_pipeline(p); },
+                  [this](const std::string& name, std::exception_ptr err) {
+                    finished(name, std::move(err));
+                  });
 }
 
 FleetMonitor::FleetSnapshot FleetMonitor::report_snapshot() {
@@ -890,36 +849,15 @@ FleetMonitor::FleetSnapshot FleetMonitor::report_snapshot() {
 }
 
 void FleetMonitor::finish_region(const std::string& name) {
-  RegionState& st = state_of(name);  // throws on unknown region
-  if (pool_) {
-    Shard& sh = *shards_.find(name)->second;
-    flush_shard(sh);
-    wait_shard(sh);
-    absorb_shard_faults();
-  }
-  if (st.health != RegionHealth::kQuarantined) {
-    try {
-      regions_.find(name)->second.finish();
-    } catch (...) {
-      const auto err = std::current_exception();
-      quarantine(name,
-                 util::Status(util::StatusCode::kInternal,
-                              "region " + name + ": finish failed: " + describe(err)),
-                 err);
-    }
-  }
-  if (cfg_.health.flag_silent_regions && st.health == RegionHealth::kHealthy &&
-      st.records_ingested == 0) {
-    degrade(name, util::Status(util::StatusCode::kUnavailable,
-                               "region " + name + ": no records ingested"));
-  }
+  const RegionState& st = state_of(name);  // throws on unknown region
+  Shard& sh = shard_of(name);
+  quiesce(sh);
+  finished(name, st.health == RegionHealth::kQuarantined ? nullptr : finish_pipeline(*sh.pipeline));
 }
 
 std::size_t FleetMonitor::queue_depth(const std::string& region) const {
   state_of(region);  // throws on unknown region
-  const auto it = shards_.find(region);
-  if (it == shards_.end()) return 0;  // serial fleet: records apply inline
-  Shard& sh = *it->second;
+  Shard& sh = shard_of(region);
   const std::size_t buffered = sh.producer_buf.size();  // producer-thread-only
   std::lock_guard<std::mutex> lock(sh.mu);
   return sh.queue_records + buffered;
@@ -949,51 +887,25 @@ FleetReport FleetMonitor::diagnose() const {
   FleetReport fleet;
   fleet.health = health_;
   // Quarantined regions are out: they neither report nor vote, so the
-  // remaining entries are identical to a fleet that never held them.
-  std::vector<std::pair<const std::string*, const DetectionPipeline*>> live;
-  live.reserve(regions_.size());
-  for (const auto& [name, pipeline] : regions_) {
-    if (state_of(name).health != RegionHealth::kQuarantined) {
-      live.emplace_back(&name, &pipeline);
-    }
-  }
-
-  // Per-region diagnoses, and cached pruned models. Each job reads one
-  // quiescent pipeline through const accessors only, so jobs are
-  // independent; results are assembled in region-name order, making the
-  // report identical to the serial path's.
-  std::map<std::string, hmm::MarkovChain> models;
-  if (pool_ && live.size() > 1) {
-    struct RegionDiag {
-      DiagnosisReport report;
-      hmm::MarkovChain model;
-    };
-    std::vector<std::pair<const std::string*, std::future<RegionDiag>>> jobs;
-    jobs.reserve(live.size());
-    for (const auto& [name, pipeline] : live) {
-      jobs.emplace_back(name, pool_->submit([pipeline] {
-        return RegionDiag{pipeline->diagnose(), pipeline->correct_model()};
-      }));
-    }
-    for (auto& [name, job] : jobs) job.wait();
-    for (auto& [name, job] : jobs) {
-      RegionDiag rd = job.get();
-      fleet.regions.emplace(*name, std::move(rd.report));
-      models.emplace(*name, std::move(rd.model));
-    }
-  } else {
-    for (const auto& [name, pipeline] : live) {
-      fleet.regions.emplace(*name, pipeline->diagnose());
-      models.emplace(*name, pipeline->correct_model());
-    }
-  }
-  // Screen-tier stats of screening regions (cheap counter copies; the
-  // pipelines are quiescent after drain()).
-  for (const auto& [name, pipeline] : live) {
-    if (pipeline->screens() != nullptr) {
-      fleet.screens.emplace(*name, pipeline->screen_stats());
-    }
-  }
+  // remaining entries are identical to a fleet that never held them. Each
+  // job reads one quiescent pipeline through const accessors only.
+  struct RegionDiag {
+    DiagnosisReport report;
+    hmm::MarkovChain model;
+    std::optional<screen::ScreenStats> screen;  // screening regions only
+  };
+  std::map<std::string, hmm::MarkovChain> models;  // pruned M_C per live region
+  for_each_region(
+      [](const std::string&, const DetectionPipeline& p) {
+        RegionDiag rd{p.diagnose(), p.correct_model(), std::nullopt};
+        if (p.screens() != nullptr) rd.screen = p.screen_stats();
+        return rd;
+      },
+      [&](const std::string& name, RegionDiag rd) {
+        fleet.regions.emplace(name, std::move(rd.report));
+        models.emplace(name, std::move(rd.model));
+        if (rd.screen) fleet.screens.emplace(name, *rd.screen);
+      });
   for (const auto& [name, report] : fleet.regions) {
     if (verdict_rank(report.network.verdict) > verdict_rank(fleet.overall)) {
       fleet.overall = report.network.verdict;
@@ -1007,38 +919,24 @@ FleetReport FleetMonitor::diagnose() const {
   // with more than half of the other live regions. One job per region; each
   // job compares its region's model against every other (the O(regions^2)
   // part).
-  if (live.size() >= 3) {
-    const auto is_outlier = [&](const std::string& name, const DetectionPipeline& pipeline) {
-      std::size_t disagreements = 0, others = 0;
-      for (const auto& [other_name, other] : live) {
-        if (*other_name == name) continue;
-        ++others;
-        if (!models_structurally_similar(models.at(name), pipeline.centroid_lookup(),
-                                         models.at(*other_name), other->centroid_lookup(),
-                                         cfg_.state_match_tol)) {
-          ++disagreements;
+  if (models.size() < 3) return fleet;
+  for_each_region(
+      [&](const std::string& name, const DetectionPipeline& p) {
+        std::size_t disagreements = 0, others = 0;
+        for (const auto& [other_name, other_model] : models) {
+          if (other_name == name) continue;
+          ++others;
+          if (!models_structurally_similar(models.at(name), p.centroid_lookup(), other_model,
+                                           region(other_name).centroid_lookup(),
+                                           cfg_.state_match_tol)) {
+            ++disagreements;
+          }
         }
-      }
-      return others > 0 && 2 * disagreements > others;
-    };
-    if (pool_) {
-      std::vector<std::pair<const std::string*, std::future<bool>>> jobs;
-      jobs.reserve(live.size());
-      for (const auto& [name, pipeline] : live) {
-        jobs.emplace_back(name, pool_->submit([&is_outlier, name, pipeline] {
-          return is_outlier(*name, *pipeline);
-        }));
-      }
-      for (auto& [name, job] : jobs) job.wait();
-      for (auto& [name, job] : jobs) {
-        if (job.get()) fleet.structural_outliers.push_back(*name);
-      }
-    } else {
-      for (const auto& [name, pipeline] : live) {
-        if (is_outlier(*name, *pipeline)) fleet.structural_outliers.push_back(*name);
-      }
-    }
-  }
+        return others > 0 && 2 * disagreements > others;
+      },
+      [&](const std::string& name, bool outlier) {
+        if (outlier) fleet.structural_outliers.push_back(name);
+      });
   return fleet;
 }
 

@@ -9,13 +9,14 @@
 // (a region-level mitigation of the paper's majority assumption).
 //
 // Regions are independent until the cross-region structural vote, so the
-// fleet parallelizes across them (FleetConfig::threads): ingestion shards
-// records into per-region bounded queues drained by pool workers, and
-// finish()/diagnose() fan per-region jobs out over the same pool. Each
-// region's pipeline is only ever touched by one thread at a time (the
-// single-writer invariant; see docs/CONCURRENCY.md), so the parallel
-// FleetReport is bit-identical to the serial one. threads = 1 bypasses the
-// pool entirely and preserves the original serial behavior exactly.
+// fleet parallelizes across them (FleetConfig::threads). Every region owns a
+// shard: one FIFO of record batches and windows, applied to its pipeline in
+// arrival order by one pool task at a time (the single-writer invariant; see
+// docs/CONCURRENCY.md). finish()/diagnose() fan per-region jobs out over the
+// same pool and apply their outcomes in region-name order, so every thread
+// count yields a bit-identical FleetReport. threads = 1 is the same shard
+// path drained inline: the caller applies its own span or window in place
+// (no copy, no handoff) and the one-worker pool runs jobs on the caller.
 //
 // Fault isolation: one region's bad feed must not take the fleet down. Each
 // region carries a health state (Healthy -> Degraded -> Quarantined,
@@ -87,15 +88,16 @@ struct RegionState {
   /// null for threshold-driven transitions. Message is attributed with the
   /// region name; rethrowable for callers that want the original type.
   std::exception_ptr error;
-  std::size_t records_ingested = 0;  // accepted by add_record/ingest
-  std::size_t records_dropped = 0;   // dropped: quarantined region, or queued
-                                     // behind a failed worker batch
+  // Every offered record lands in exactly one of these two counts.
+  std::size_t records_ingested = 0;  // accepted and not dropped since
+  std::size_t records_dropped = 0;   // dropped: quarantined region, or the
+                                     // failing batch and any queued behind it
   /// Malformed-line causes accumulated from this region's readers.
   MalformedCounts malformed;
   std::size_t comment_lines = 0;
-  /// Backpressure attribution (sharded fleets only; always 0 serial): how
-  /// many producer flushes found this region's queue at capacity, and the
-  /// total wall-clock the producer spent blocked in those waits. Purely
+  /// Backpressure attribution (always 0 at threads = 1): how many producer
+  /// flushes found this region's queue at capacity, and the total
+  /// wall-clock the producer spent blocked in those waits. Purely
   /// observational -- timing-dependent, so never rendered into reports --
   /// but it is what lets an admission controller (src/service) or an
   /// operator reading --metrics-json tell *which* tenant is saturating its
@@ -142,9 +144,11 @@ struct FleetConfig {
   /// Attribute distance within which two regions' model states count as the
   /// same physical state during the cross-region structural check.
   double state_match_tol = 6.0;
-  /// Worker threads for ingestion and diagnosis. 1 = fully serial (the
-  /// original code path, no pool, no queues); 0 = hardware concurrency;
-  /// N > 1 = a pool of N workers shared by all regions. Any value produces
+  /// Worker threads for ingestion and diagnosis: a pool of N workers shared
+  /// by all regions. 1 = the same shard path drained inline on the caller
+  /// thread (no worker threads, no record copies); 0 =
+  /// util::default_concurrency() (hardware threads capped by the cgroup CPU
+  /// quota), and config() reports the resolved count. Any value produces
   /// bit-identical FleetReports -- threads only changes wall-clock.
   std::size_t threads = 1;
   /// Per-region ingest queue bound (records). add_record blocks once a
@@ -228,13 +232,11 @@ class FleetMonitor {
   /// otherwise dominate the screened per-sensor cost). Bypasses the region's
   /// windower entirely; the window is processed as-is, so its per_sensor map
   /// (or rep arrays) must already hold one representative per sensor.
-  /// Windows count toward records_ingested / backpressure / checkpoint
-  /// cadence at weight per_sensor.size(). Within a region, windows are
-  /// applied in arrival order; interleaving add_record and add_window on the
-  /// same region without a drain() between the phases leaves their relative
-  /// order unspecified. Quarantine/error semantics match add_record.
-  /// Serial fleets process the window in place (no copy); sharded fleets
-  /// copy it into the region's queue.
+  /// Windows count toward records_ingested and checkpoint cadence at weight
+  /// per_sensor.size(), but never block on the queue bound. Within a region,
+  /// records and windows apply in arrival order at every thread count. Quarantine/error semantics match add_record.
+  /// threads = 1 processes the window in place (no copy); threads > 1 copy
+  /// it into the region's queue.
   void add_window(const std::string& region, const ObservationSet& window);
 
   /// What ingest()/ingest_file() report back: how much arrived and the
@@ -245,7 +247,7 @@ class FleetMonitor {
     util::Status status;      // region status after this ingest
     /// Producer block time attributable to *this* ingest call: how long the
     /// caller sat in backpressure waits while feeding these records (0 for
-    /// serial fleets, where records apply inline).
+    /// threads = 1, where records apply inline).
     std::uint64_t backpressure_block_ns = 0;
   };
 
@@ -272,11 +274,11 @@ class FleetMonitor {
 
   /// Block until every queued record has been applied to its pipeline.
   /// A worker failure quarantines its region (error captured in the health
-  /// record) rather than rethrowing. No-op in serial mode.
+  /// record) rather than rethrowing.
   void drain() const;
 
-  /// Flush all regions' partial windows (parallel across regions when a
-  /// pool is configured). Implies drain(). A finish()-time pipeline
+  /// Flush all regions' partial windows (parallel across regions at
+  /// threads > 1). Implies drain(). A finish()-time pipeline
   /// exception quarantines its region; silent regions are flagged per
   /// RegionHealthConfig::flag_silent_regions.
   void finish();
@@ -303,7 +305,7 @@ class FleetMonitor {
   /// Combined fleet diagnosis. Drains first, then runs per-region
   /// diagnose()/correct_model() and the structural cross-check on the pool,
   /// quarantined regions excluded throughout. Deterministic: identical to
-  /// the serial result, and healthy regions' entries are identical to a
+  /// the threads = 1 result, and healthy regions' entries are identical to a
   /// fleet that never contained the quarantined ones.
   FleetReport diagnose() const;
 
@@ -334,7 +336,7 @@ class FleetMonitor {
   void finish_region(const std::string& name);
 
   /// Records currently queued (committed to the shard queue plus the
-  /// producer-side buffer) for `region`; 0 for serial fleets, where records
+  /// producer-side buffer) for `region`; 0 at threads = 1, where records
   /// apply inline. Producer-thread only, like the ingestion API: this is
   /// the admission-control probe -- a service front end rejects a tenant's
   /// frame (instead of blocking inside ingest) when the shard is already at
@@ -344,15 +346,27 @@ class FleetMonitor {
   const FleetConfig& config() const { return cfg_; }
 
  private:
-  struct Shard;      // per-region ingest queue (defined in fleet.cpp)
+  struct Shard;      // per-region FIFO and pipeline applier (defined in fleet.cpp)
   struct Committer;  // checkpoint fsync/rename thread (defined in fleet.cpp)
 
   void register_shard(const std::string& name, DetectionPipeline& pipeline);
-  void flush_shard(Shard& shard) const;
+  Shard& shard_of(const std::string& region) const;
+  void flush_shard(Shard& shard, const ObservationSet* window = nullptr) const;
   void drain_shard(Shard& shard) const;
-  /// Block until `shard` is quiescent (queue empty, no drain task running)
-  /// or its worker parked an error.
+  /// Block until `shard` is quiescent: its queue empty and no drain task
+  /// running.
   void wait_shard(Shard& shard) const;
+  /// Flush, wait for, and absorb the faults of one shard: afterwards its
+  /// pipeline is at a record boundary and owned by the caller thread.
+  void quiesce(Shard& shard) const;
+  /// Run job(name, pipeline) for every non-quarantined region on the pool,
+  /// join them all, then call apply(name, result) on the caller thread in
+  /// region-name order.
+  template <class Job, class Apply>
+  void for_each_region(Job job, Apply apply) const;
+  /// Fold a finish-time outcome into `name`'s health: quarantine on `err`,
+  /// then the silent-region check.
+  void finished(const std::string& name, std::exception_ptr err);
   /// Commit `region`'s checkpoint when the interval since its last commit
   /// reached checkpoint_every_records.
   void maybe_checkpoint(const std::string& region, RegionState& st);
@@ -371,8 +385,8 @@ class FleetMonitor {
 
   FleetConfig cfg_;
   std::map<std::string, DetectionPipeline> regions_;
-  std::map<std::string, std::unique_ptr<Shard>> shards_;  // empty in serial mode
-  std::unique_ptr<util::ThreadPool> pool_;                // null in serial mode
+  std::map<std::string, std::unique_ptr<Shard>> shards_;  // one per region
+  std::unique_ptr<util::ThreadPool> pool_;                // inline at threads = 1
   std::unique_ptr<CheckpointStore> store_;                // null without checkpoint_dir
   /// Single dedicated thread owning every store commit; declared after
   /// store_ so its destructor drains the queue and joins while the store is

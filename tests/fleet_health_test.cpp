@@ -141,34 +141,39 @@ TEST(FleetHealth, UnopenableTraceQuarantinesOnlyItsRegion) {
     out.write(reinterpret_cast<const char*>(kBinaryTraceMagic), 8);
   }
 
-  FleetMonitor fleet;
-  fleet.add_region("good", region_config());
-  fleet.add_region("garbage", region_config());
-  fleet.add_region("missing", region_config());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FleetConfig fc;
+    fc.threads = threads;
+    FleetMonitor fleet(fc);
+    fleet.add_region("good", region_config());
+    fleet.add_region("garbage", region_config());
+    fleet.add_region("missing", region_config());
 
-  EXPECT_TRUE(fleet.ingest_file("good", good_path).status.is_ok());
-  const auto garbage_sum = fleet.ingest_file("garbage", garbage_path);
-  const auto missing_sum = fleet.ingest_file("missing", "/nonexistent/trace.csv");
-  EXPECT_EQ(garbage_sum.records, 0u);
-  EXPECT_EQ(missing_sum.records, 0u);
-  fleet.finish();
+    EXPECT_TRUE(fleet.ingest_file("good", good_path).status.is_ok());
+    const auto garbage_sum = fleet.ingest_file("garbage", garbage_path);
+    const auto missing_sum = fleet.ingest_file("missing", "/nonexistent/trace.csv");
+    EXPECT_EQ(garbage_sum.records, 0u);
+    EXPECT_EQ(missing_sum.records, 0u);
+    fleet.finish();
 
-  for (const char* name : {"garbage", "missing"}) {
-    const RegionState& st = fleet.region_health(name);
-    EXPECT_EQ(st.health, RegionHealth::kQuarantined) << name;
-    EXPECT_EQ(st.status.code(), util::StatusCode::kInvalidArgument) << name;
-    EXPECT_NE(st.status.message().find(std::string("region ") + name), std::string::npos)
-        << st.status.to_string();
-    EXPECT_NE(st.status.message().find("cannot open trace"), std::string::npos)
-        << st.status.to_string();
-    ASSERT_TRUE(st.error) << name;
-    EXPECT_THROW(std::rethrow_exception(st.error), std::runtime_error);
+    for (const char* name : {"garbage", "missing"}) {
+      const RegionState& st = fleet.region_health(name);
+      EXPECT_EQ(st.health, RegionHealth::kQuarantined) << name;
+      EXPECT_EQ(st.status.code(), util::StatusCode::kInvalidArgument) << name;
+      EXPECT_NE(st.status.message().find(std::string("region ") + name), std::string::npos)
+          << st.status.to_string();
+      EXPECT_NE(st.status.message().find("cannot open trace"), std::string::npos)
+          << st.status.to_string();
+      ASSERT_TRUE(st.error) << name;
+      EXPECT_THROW(std::rethrow_exception(st.error), std::runtime_error);
+    }
+
+    const FleetReport report = fleet.diagnose();
+    EXPECT_EQ(fleet.region_health("good").health, RegionHealth::kHealthy);
+    EXPECT_EQ(report.regions.count("good"), 1u);
+    EXPECT_EQ(report.regions.size(), 1u);
   }
-
-  const FleetReport report = fleet.diagnose();
-  EXPECT_EQ(fleet.region_health("good").health, RegionHealth::kHealthy);
-  EXPECT_EQ(report.regions.count("good"), 1u);
-  EXPECT_EQ(report.regions.size(), 1u);
   std::remove(good_path.c_str());
   std::remove(garbage_path.c_str());
 }
@@ -186,21 +191,26 @@ TEST(FleetHealth, MalformedRateQuarantinesHostileFeed) {
   const auto path = temp_path("fh_hostile.csv");
   write_file(path, content.str());
 
-  FleetMonitor fleet;
-  fleet.add_region("hostile", region_config());
-  const auto sum = fleet.ingest_file("hostile", path);
-  EXPECT_FALSE(sum.status.is_ok());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FleetConfig fc;
+    fc.threads = threads;
+    FleetMonitor fleet(fc);
+    fleet.add_region("hostile", region_config());
+    const auto sum = fleet.ingest_file("hostile", path);
+    EXPECT_FALSE(sum.status.is_ok());
 
-  const RegionState& st = fleet.region_health("hostile");
-  EXPECT_EQ(st.health, RegionHealth::kQuarantined);
-  EXPECT_EQ(st.status.code(), util::StatusCode::kDataLoss);
-  EXPECT_NE(st.status.message().find("region hostile"), std::string::npos)
-      << st.status.to_string();
-  EXPECT_NE(st.status.message().find("malformed-line rate too high"), std::string::npos)
-      << st.status.to_string();
-  EXPECT_EQ(st.error, nullptr);  // threshold transition, no exception behind it
-  EXPECT_GT(st.malformed.total(), 0u);
-  EXPECT_GT(st.malformed.bad_field_count, 0u);  // the junk lines are short
+    const RegionState& st = fleet.region_health("hostile");
+    EXPECT_EQ(st.health, RegionHealth::kQuarantined);
+    EXPECT_EQ(st.status.code(), util::StatusCode::kDataLoss);
+    EXPECT_NE(st.status.message().find("region hostile"), std::string::npos)
+        << st.status.to_string();
+    EXPECT_NE(st.status.message().find("malformed-line rate too high"), std::string::npos)
+        << st.status.to_string();
+    EXPECT_EQ(st.error, nullptr);  // threshold transition, no exception behind it
+    EXPECT_GT(st.malformed.total(), 0u);
+    EXPECT_GT(st.malformed.bad_field_count, 0u);  // the junk lines are short
+  }
   std::remove(path.c_str());
 }
 
@@ -214,19 +224,24 @@ TEST(FleetHealth, FullyMalformedFeedQuarantinedByRateNotJustSilent) {
   const auto path = temp_path("fh_all_junk.csv");
   write_file(path, content.str());
 
-  FleetMonitor fleet;
-  fleet.add_region("junk", region_config());
-  const auto sum = fleet.ingest_file("junk", path);
-  EXPECT_FALSE(sum.status.is_ok());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FleetConfig fc;
+    fc.threads = threads;
+    FleetMonitor fleet(fc);
+    fleet.add_region("junk", region_config());
+    const auto sum = fleet.ingest_file("junk", path);
+    EXPECT_FALSE(sum.status.is_ok());
 
-  const RegionState& st = fleet.region_health("junk");
-  EXPECT_EQ(st.health, RegionHealth::kQuarantined);
-  EXPECT_EQ(st.status.code(), util::StatusCode::kDataLoss);
-  EXPECT_NE(st.status.message().find("malformed-line rate too high"), std::string::npos)
-      << st.status.to_string();
-  EXPECT_EQ(st.records_ingested, 0u);
-  EXPECT_EQ(st.malformed.total(), 200u);
-  EXPECT_NO_THROW(fleet.finish());  // quarantined already; silence check moot
+    const RegionState& st = fleet.region_health("junk");
+    EXPECT_EQ(st.health, RegionHealth::kQuarantined);
+    EXPECT_EQ(st.status.code(), util::StatusCode::kDataLoss);
+    EXPECT_NE(st.status.message().find("malformed-line rate too high"), std::string::npos)
+        << st.status.to_string();
+    EXPECT_EQ(st.records_ingested, 0u);
+    EXPECT_EQ(st.malformed.total(), 200u);
+    EXPECT_NO_THROW(fleet.finish());  // quarantined already; silence check moot
+  }
   std::remove(path.c_str());
 }
 
@@ -307,17 +322,22 @@ TEST(FleetHealth, SilentRegionDegradedAtFinishDeterministically) {
 }
 
 TEST(FleetHealth, RecordsForQuarantinedRegionDroppedAndCounted) {
-  FleetMonitor fleet;
-  fleet.add_region("r", region_config());
-  fleet.ingest_file("r", "/nonexistent/trace.csv");
-  ASSERT_EQ(fleet.region_health("r").health, RegionHealth::kQuarantined);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FleetConfig fc;
+    fc.threads = threads;
+    FleetMonitor fleet(fc);
+    fleet.add_region("r", region_config());
+    fleet.ingest_file("r", "/nonexistent/trace.csv");
+    ASSERT_EQ(fleet.region_health("r").health, RegionHealth::kQuarantined);
 
-  const auto trace = make_good_trace(3, 100);
-  EXPECT_NO_THROW(fleet.add_records("r", trace));
-  EXPECT_NO_THROW(fleet.add_record("r", trace[0]));
-  EXPECT_EQ(fleet.region_health("r").records_dropped, 101u);
-  EXPECT_EQ(fleet.region_health("r").records_ingested, 0u);
-  EXPECT_NO_THROW(fleet.finish());
+    const auto trace = make_good_trace(3, 100);
+    EXPECT_NO_THROW(fleet.add_records("r", trace));
+    EXPECT_NO_THROW(fleet.add_record("r", trace[0]));
+    EXPECT_EQ(fleet.region_health("r").records_dropped, 101u);
+    EXPECT_EQ(fleet.region_health("r").records_ingested, 0u);
+    EXPECT_NO_THROW(fleet.finish());
+  }
 }
 
 TEST(FleetHealth, BackpressureIsHealthyAndDeterministic) {

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/fleet.h"
@@ -141,52 +143,126 @@ TEST(FleetParallel, HardwareThreadCountAlsoIdentical) {
   const FleetReport serial = run_fleet(traces, 1);
   const FleetReport parallel = run_fleet(traces, 0);  // 0 = hardware concurrency
   EXPECT_EQ(to_string(parallel), to_string(serial));
+
+  // threads = 0 resolves like the pool does: hardware threads capped by the
+  // cgroup CPU quota.
+  FleetConfig fc;
+  fc.threads = 0;
+  EXPECT_EQ(FleetMonitor(fc).config().threads, util::default_concurrency());
 }
 
 TEST(FleetParallel, WorkerExceptionQuarantinesRegionWithAttribution) {
-  FleetConfig fc;
-  fc.threads = 4;
-  FleetMonitor fleet(fc);
-  fleet.add_region("ok", region_config());
-  fleet.add_region("bad", region_config());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FleetConfig fc;
+    fc.threads = threads;
+    FleetMonitor fleet(fc);
+    fleet.add_region("ok", region_config());
+    fleet.add_region("bad", region_config());
 
-  // Dimension-mismatched records make the pipeline throw inside a pool
-  // worker (AttrVec distance on a 2-dim model). That must NOT resurface as
-  // an exception on the caller thread: the sick region is quarantined with
-  // the error attributed to it, later records for it are dropped and
-  // counted, and the healthy region completes untouched.
-  for (int i = 0; i < 5000; ++i) {
-    const double t = 60.0 * i;
-    for (SensorId s = 0; s < 6; ++s) {
-      fleet.add_record("bad", {s, t, {1.0, 2.0, 3.0}});  // 3 dims into a 2-dim region
-      fleet.add_record("ok", {s, t, {10.0, 60.0}});
+    // Dimension-mismatched records make the pipeline throw (AttrVec
+    // distance on a 2-dim model), inside a pool worker at threads > 1. That
+    // must NOT resurface as an exception on the caller thread: the sick
+    // region is quarantined with the error attributed to it, later records
+    // for it are dropped and counted, and the healthy region completes
+    // untouched.
+    std::size_t offered = 0;
+    for (int i = 0; i < 5000; ++i) {
+      const double t = 60.0 * i;
+      for (SensorId s = 0; s < 6; ++s) {
+        fleet.add_record("bad", {s, t, {1.0, 2.0, 3.0}});  // 3 dims into a 2-dim region
+        ++offered;
+        fleet.add_record("ok", {s, t, {10.0, 60.0}});
+      }
     }
+    fleet.finish();
+
+    const RegionState& bad = fleet.region_health("bad");
+    EXPECT_EQ(bad.health, RegionHealth::kQuarantined);
+    EXPECT_FALSE(bad.status.is_ok());
+    // The status message carries the region name -- a fleet log line must
+    // say *which* feed died, not just that one did.
+    EXPECT_NE(bad.status.message().find("bad"), std::string::npos) << bad.status.to_string();
+    EXPECT_GT(bad.records_dropped, 0u);
+    // Every offered record is either ingested or dropped, never both.
+    EXPECT_EQ(bad.records_ingested + bad.records_dropped, offered);
+    // The original exception rides along for callers that want the real type.
+    ASSERT_TRUE(bad.error);
+    EXPECT_THROW(std::rethrow_exception(bad.error), std::invalid_argument);
+
+    // drain() stays a quiescence point and never throws region poison.
+    EXPECT_NO_THROW(fleet.drain());
+    EXPECT_EQ(fleet.region_health("ok").health, RegionHealth::kHealthy);
+    EXPECT_GT(fleet.region("ok").windows_processed(), 0u);
+
+    // The quarantined region is absent from the report body but present --
+    // with its captured cause -- in the health section.
+    const FleetReport report = fleet.diagnose();
+    EXPECT_EQ(report.regions.count("bad"), 0u);
+    EXPECT_EQ(report.regions.count("ok"), 1u);
+    ASSERT_EQ(report.health.count("bad"), 1u);
+    EXPECT_EQ(report.health.at("bad").health, RegionHealth::kQuarantined);
   }
-  fleet.finish();
+}
 
-  const RegionState& bad = fleet.region_health("bad");
-  EXPECT_EQ(bad.health, RegionHealth::kQuarantined);
-  EXPECT_FALSE(bad.status.is_ok());
-  // The status message carries the region name -- a fleet log line must say
-  // *which* feed died, not just that one did.
-  EXPECT_NE(bad.status.message().find("bad"), std::string::npos) << bad.status.to_string();
-  EXPECT_GT(bad.records_dropped, 0u);
-  // The original exception rides along for callers that want the real type.
-  ASSERT_TRUE(bad.error);
-  EXPECT_THROW(std::rethrow_exception(bad.error), std::invalid_argument);
+TEST(FleetParallel, InterleavedRecordsAndWindowsKeepArrivalOrder) {
+  // add_records and add_window interleaved on one region with no drain()
+  // between them: every thread count applies them in arrival order, so the
+  // reports and the pipeline state match. Record hours are clean; window
+  // hours carry a stuck sensor.
+  const CycleEnvironment env;
+  const std::vector<SensorRecord> trace = simulate_region(env, 2.0 * kSecondsPerDay, 11);
+  const auto hour_of = [](const SensorRecord& rec) {
+    return static_cast<std::size_t>(rec.time / kSecondsPerHour);
+  };
+  const std::size_t hours = hour_of(trace.back()) + 1;
+  std::vector<std::vector<SensorRecord>> by_hour(hours);
+  for (const auto& rec : trace) by_hour[hour_of(rec)].push_back(rec);
+  const auto window_of = [&env](std::size_t hour) {
+    ObservationSet w;
+    w.window_index = hour + 1;
+    w.window_start = static_cast<double>(hour) * kSecondsPerHour;
+    w.window_end = w.window_start + kSecondsPerHour;
+    const AttrVec truth = env.truth(w.window_start);
+    for (SensorId s = 0; s < 6; ++s) {
+      w.per_sensor[s] = (s == 2) ? AttrVec{20.0, 5.0} : truth;
+      w.raw.push_back(w.per_sensor[s]);
+    }
+    return w;
+  };
 
-  // drain() stays a quiescence point and never throws region poison.
-  EXPECT_NO_THROW(fleet.drain());
-  EXPECT_EQ(fleet.region_health("ok").health, RegionHealth::kHealthy);
-  EXPECT_GT(fleet.region("ok").windows_processed(), 0u);
+  // Even hours arrive as records, odd hours as windows, in `order`. Returns
+  // the report and the region's full resumable state, which shows the order
+  // the pipeline saw even where the report does not.
+  const auto run = [&](std::size_t threads, const std::vector<std::size_t>& order) {
+    FleetConfig fc;
+    fc.threads = threads;
+    fc.batch_records = 16;  // many small handoffs between the windows
+    FleetMonitor fleet(fc);
+    fleet.add_region("r", region_config());
+    for (const std::size_t h : order) {
+      if (h % 2 == 0) {
+        fleet.add_records("r", by_hour[h]);
+      } else {
+        fleet.add_window("r", window_of(h));
+      }
+    }
+    fleet.finish();
+    EXPECT_EQ(fleet.region_health("r").health, RegionHealth::kHealthy);
+    std::ostringstream state;
+    fleet.region("r").save_checkpoint(state, serialize::Format::kText,
+                                      CheckpointScope::kResumable);
+    return std::make_pair(to_string(fleet.diagnose()), state.str());
+  };
+  std::vector<std::size_t> interleaved, windows_last;
+  for (std::size_t h = 0; h < hours; ++h) interleaved.push_back(h);
+  for (std::size_t h = 0; h < hours; h += 2) windows_last.push_back(h);
+  for (std::size_t h = 1; h < hours; h += 2) windows_last.push_back(h);
 
-  // The quarantined region is absent from the report body but present --
-  // with its captured cause -- in the health section.
-  const FleetReport report = fleet.diagnose();
-  EXPECT_EQ(report.regions.count("bad"), 0u);
-  EXPECT_EQ(report.regions.count("ok"), 1u);
-  ASSERT_EQ(report.health.count("bad"), 1u);
-  EXPECT_EQ(report.health.at("bad").health, RegionHealth::kQuarantined);
+  const auto serial = run(1, interleaved);
+  EXPECT_EQ(run(4, interleaved), serial);
+  EXPECT_EQ(run(4, interleaved), serial);
+  EXPECT_NE(run(1, windows_last).second, serial.second);  // the order is observable
 }
 
 TEST(FleetParallel, DrainIsQuiescencePoint) {
