@@ -157,15 +157,18 @@ void BM_FleetIngestDiagnose(benchmark::State& state) {
                 static_cast<double>(state.iterations() * records_per_iter));
 }
 
-/// Steady-state fused ingest: one serial region, the decode -> window ->
-/// screen-cache data plane only (no finish/diagnose in the timed loop). A
-/// warm-up pass over the full trace grows every recycled buffer (windower
-/// slots, gather gathers, pipeline scratch, alarm rows); the counted pass
-/// replays the identical trace time-shifted by a whole number of windows, so
-/// every record takes the same path through warm state. The fused path's
-/// contract -- zero allocations per record at steady state -- is asserted
-/// in-bench (a tiny epsilon absorbs the amortized history-arena slabs and
-/// alarm-edge track churn, which are per-window, not per-record).
+/// Steady-state fused ingest: one region, the decode -> window ->
+/// screen-cache data plane only (no finish/diagnose in the timed loop), at
+/// FleetConfig::threads = state.range(0). A warm-up pass over the full trace
+/// grows every recycled buffer (windower slots, gather gathers, pipeline
+/// scratch, alarm rows, and at threads > 1 the shard's circulating record
+/// batches); the counted pass replays the identical trace time-shifted by a
+/// whole number of windows, so every record takes the same path through warm
+/// state. The counted section ends with drain(), so it covers the worker
+/// threads' allocations too. The contract -- zero allocations per record at
+/// steady state, shard handoff included -- is asserted in-bench (a tiny
+/// epsilon absorbs the amortized history-arena slabs and alarm-edge track
+/// churn, which are per-window, not per-record).
 void BM_FleetIngestSteadyState(benchmark::State& state) {
   const FleetWorkload& w = workload();
   const std::vector<SensorRecord>& trace = w.traces[0];
@@ -185,19 +188,21 @@ void BM_FleetIngestSteadyState(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     core::FleetConfig fc;
-    fc.threads = 1;
+    fc.threads = static_cast<std::size_t>(state.range(0));
     core::FleetMonitor fleet(fc);
     fleet.add_region("r", w.pipeline_config);
     for (std::size_t off = 0; off < trace.size(); off += kBurst) {
       const std::size_t len = std::min(kBurst, trace.size() - off);
       fleet.add_records("r", {trace.data() + off, len});
     }
+    fleet.drain();
     state.ResumeTiming();
     const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
     for (std::size_t off = 0; off < shifted.size(); off += kBurst) {
       const std::size_t len = std::min(kBurst, shifted.size() - off);
       fleet.add_records("r", {shifted.data() + off, len});
     }
+    fleet.drain();
     hot_allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
     hot_records += shifted.size();
     benchmark::DoNotOptimize(fleet.region("r").windows_processed());
@@ -326,7 +331,12 @@ BENCHMARK(BM_FleetIngestDiagnose)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-BENCHMARK(BM_FleetIngestSteadyState)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_FleetIngestSteadyState)
+    ->Arg(1)
+    ->Arg(4)
+    ->ArgName("threads")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 BENCHMARK(BM_FleetCheckpointOverhead)
     ->Arg(0)

@@ -56,6 +56,7 @@ int verdict_rank(Verdict v) {
 /// Records one shard FIFO entry stands for: a batch's length, or a window's
 /// sensor count (the weight add_window bills).
 std::size_t weight_of(std::span<const SensorRecord> recs) { return recs.size(); }
+std::size_t weight_of(const RecordBatch& batch) { return batch.size(); }
 std::size_t weight_of(const ObservationSet& window) { return window.sensor_count(); }
 
 /// Close `p`'s partial window, returning a throw instead of propagating it.
@@ -146,12 +147,16 @@ std::string to_string(const FleetReport& r) {
 /// At threads > 1 the FIFO is drained by at most one pool task at a time
 /// (`draining` guards task spawning), which is the single-writer invariant
 /// the fleet relies on; at threads = 1 the caller applies its own span or
-/// window in place and the FIFO stays empty. producer_buf belongs to the
-/// (single) producer thread and is handed off under the lock once per
-/// FleetConfig::batch_records, so the per-record cost of add_record is one
-/// push_back. Workers never touch health_ directly: a failure is parked in
-/// `error`/`dropped` under the lock and the producer folds it into the
-/// region's health record (absorb_shard_faults) -- keeping every health
+/// window in place and the FIFO stays empty. `producer` belongs to the
+/// (single) producer thread: add_records appends columns to it, and it is
+/// handed off under the lock once per FleetConfig::batch_records (or when a
+/// record's width differs from the batch's). Batches circulate: the worker
+/// clears each one it applied and returns it to `free_batches`, and a
+/// handoff takes its replacement from there, so at steady state a handoff
+/// allocates nothing and the free list never outgrows the batches that were
+/// in flight at once. Workers never touch health_ directly: a failure is
+/// parked in `error`/`dropped` under the lock and the producer folds it into
+/// the region's health record (absorb_shard_faults) -- keeping every health
 /// transition on the caller thread, hence deterministic at any thread count.
 struct FleetMonitor::Shard {
   Shard(std::string region_name, DetectionPipeline& p)
@@ -184,15 +189,17 @@ struct FleetMonitor::Shard {
   }
 
   std::string name;
-  std::vector<SensorRecord> producer_buf;  // producer-thread-only
+  RecordBatch producer;  // producer-thread-only
   std::mutex mu;
   std::condition_variable cv;  // queue shrank, drain finished, or error set
-  // Whole producer batches and copied windows, in arrival order: handoff
-  // moves one vector instead of copying records element-wise, and the drain
-  // side replays each batch as one fused span. queue_records counts the
-  // batches' records for backpressure; windows are coarse and uncapped.
-  using Fifo = std::deque<std::variant<std::vector<SensorRecord>, ObservationSet>>;
+  // Whole producer batches and copied windows, in arrival order: a handoff
+  // moves one batch, and the drain side feeds each batch to the pipeline's
+  // columnar entry. queue_records counts the batches' records for
+  // backpressure; windows are coarse and uncapped.
+  using Fifo = std::vector<std::variant<RecordBatch, ObservationSet>>;
   Fifo queue;
+  std::vector<RecordBatch> free_batches;  // applied batches, cleared (under mu)
+  Fifo work;  // the queue as swapped out by the drain task (drain task only)
   std::size_t queue_records = 0;
   bool draining = false;     // a pool task owns this shard's pipeline
   std::exception_ptr error;  // first pipeline exception, folded into health
@@ -480,8 +487,14 @@ void FleetMonitor::add_records(const std::string& region, std::span<const Sensor
     // no copy and no handoff.
     if (!sh.apply(recs)) absorb_shard_faults();
   } else {
-    sh.producer_buf.insert(sh.producer_buf.end(), recs.begin(), recs.end());
-    if (sh.producer_buf.size() >= cfg_.batch_records) flush_shard(sh);
+    // Append columns to the producer batch. A record of a different width
+    // closes the batch first, so the pipeline sees the same sequence (and
+    // raises the same dimension-mismatch errors) as at threads = 1.
+    for (std::size_t done = sh.producer.append(recs); done < recs.size();
+         done += sh.producer.append(recs.subspan(done))) {
+      flush_shard(sh);
+    }
+    if (sh.producer.size() >= cfg_.batch_records) flush_shard(sh);
   }
   maybe_checkpoint(region, st);
 }
@@ -681,12 +694,12 @@ FleetMonitor::IngestSummary FleetMonitor::ingest_file(const std::string& region,
   return ingest(region, *reader, 0, skip_records);
 }
 
-/// Hand the producer buffer -- then `window`, if given, behind it -- to the
+/// Hand the producer batch -- then `window`, if given, behind it -- to the
 /// shard's FIFO and make sure a drain task is (or will be) running. Called
 /// by the producer thread only. A parked worker error makes this a
 /// drop-and-fold instead of a handoff.
 void FleetMonitor::flush_shard(Shard& sh, const ObservationSet* window) const {
-  const std::size_t nbuf = sh.producer_buf.size();
+  const std::size_t nbuf = sh.producer.size();
   if (nbuf == 0 && window == nullptr) return;
   std::optional<ObservationSet> copy;
   if (window != nullptr) copy.emplace(*window);  // copied outside the lock
@@ -720,8 +733,14 @@ void FleetMonitor::flush_shard(Shard& sh, const ObservationSet* window) const {
       failed = true;
     } else {
       if (nbuf > 0) {
-        // Whole-batch handoff: one vector move, no per-record copies.
-        sh.queue.emplace_back(std::move(sh.producer_buf));
+        // Whole-batch handoff: the batch moves into the FIFO and a recycled
+        // one (if any) takes its place -- no per-record copies, and no
+        // allocation once the shard's batches are circulating.
+        sh.queue.emplace_back(std::move(sh.producer));
+        if (!sh.free_batches.empty()) {
+          sh.producer = std::move(sh.free_batches.back());
+          sh.free_batches.pop_back();
+        }
         sh.queue_records += nbuf;
         m_queue_depth_->record(sh.queue_records);
       }
@@ -735,7 +754,7 @@ void FleetMonitor::flush_shard(Shard& sh, const ObservationSet* window) const {
   if (nbuf > 0) {
     m_handoffs_->inc();
     if (!failed) m_enqueued_->add(nbuf);
-    sh.producer_buf.clear();
+    sh.producer.clear();
   }
   if (start_drain) {
     pool_->post([this, &sh] { drain_shard(sh); });
@@ -745,8 +764,6 @@ void FleetMonitor::flush_shard(Shard& sh, const ObservationSet* window) const {
 
 void FleetMonitor::drain_shard(Shard& sh) const {
   for (;;) {
-    Shard::Fifo items;
-    std::size_t taken = 0;
     {
       std::lock_guard<std::mutex> lock(sh.mu);
       if (sh.queue.empty()) {
@@ -754,19 +771,26 @@ void FleetMonitor::drain_shard(Shard& sh) const {
         sh.cv.notify_all();
         return;
       }
-      items.swap(sh.queue);
-      taken = sh.queue_records;
+      sh.work.swap(sh.queue);  // the queue takes the (empty) spare's capacity
       sh.queue_records = 0;
     }
     sh.cv.notify_all();  // queue emptied; unblock backpressured producers
     // Arrival order, so the record sequence (hence the report) is identical
-    // to the threads = 1 path's. After a failure apply() only counts drops.
-    bool applied = true;
-    for (const auto& item : items) {
-      applied = std::visit([&sh](const auto& work) { return sh.apply(work); }, item) && applied;
+    // to the threads = 1 path's. After a failure apply() only counts drops;
+    // the counters cover exactly the items that were applied.
+    bool any_applied = false;
+    for (auto& item : sh.work) {
+      const bool applied = std::visit([&sh](const auto& w) { return sh.apply(w); }, item);
+      any_applied = any_applied || applied;
+      if (auto* batch = std::get_if<RecordBatch>(&item)) {
+        if (applied) m_drained_->add(batch->size());
+        batch->clear();
+        std::lock_guard<std::mutex> lock(sh.mu);
+        sh.free_batches.push_back(std::move(*batch));
+      }
     }
-    if (!applied) continue;
-    m_drained_->add(taken);
+    sh.work.clear();  // frees window copies outside the lock
+    if (!any_applied) continue;
     m_drain_batches_->inc();
     SENTINEL_FAULT_POINT(util::fault::kDrainBatch);
   }
@@ -858,7 +882,7 @@ void FleetMonitor::finish_region(const std::string& name) {
 std::size_t FleetMonitor::queue_depth(const std::string& region) const {
   state_of(region);  // throws on unknown region
   Shard& sh = shard_of(region);
-  const std::size_t buffered = sh.producer_buf.size();  // producer-thread-only
+  const std::size_t buffered = sh.producer.size();  // producer-thread-only
   std::lock_guard<std::mutex> lock(sh.mu);
   return sh.queue_records + buffered;
 }

@@ -153,16 +153,20 @@ struct FleetConfig {
   std::size_t threads = 1;
   /// Per-region ingest queue bound (records). add_record blocks once a
   /// region's queue is this deep -- backpressure instead of unbounded memory
-  /// when producers outrun the pipelines. Deeper queues cost memory
-  /// (~100 B/record) but reduce producer stalls on oversubscribed machines.
+  /// when producers outrun the pipelines. Deeper queues cost memory (queued
+  /// records are columnar: 4 + 8 + 8*dims bytes each, 28 B at two
+  /// attributes) but reduce producer stalls on oversubscribed machines.
   /// Backpressure is a documented-healthy state: the wait is counted
   /// (fleet.backpressure_waits), not a health transition.
   std::size_t max_queue_records = 16384;
-  /// Producer-side batch: add_record appends to an unlocked per-region
-  /// buffer and only takes the shard lock every `batch_records` records.
-  /// Per-record pipeline cost is tiny (real work happens once per closed
-  /// window), so unbatched handoff would spend more on locking and worker
-  /// wakeups than on detection. 1 = hand off every record immediately.
+  /// Producer-side batch (threads > 1): add_record appends the record's
+  /// columns to an unlocked per-region RecordBatch and only takes the shard
+  /// lock once the batch holds `batch_records` records (checked after each
+  /// add_records span, so a span is never split for size; a record whose
+  /// attribute width differs from the batch's closes it early). Per-record
+  /// pipeline cost is tiny (real work happens once per closed window), so
+  /// unbatched handoff would spend more on locking and worker wakeups than
+  /// on detection. 1 = hand off every span immediately.
   std::size_t batch_records = 256;
   /// Health-transition thresholds (see RegionHealthConfig).
   RegionHealthConfig health;
@@ -234,9 +238,9 @@ class FleetMonitor {
   /// (or rep arrays) must already hold one representative per sensor.
   /// Windows count toward records_ingested and checkpoint cadence at weight
   /// per_sensor.size(), but never block on the queue bound. Within a region,
-  /// records and windows apply in arrival order at every thread count. Quarantine/error semantics match add_record.
-  /// threads = 1 processes the window in place (no copy); threads > 1 copy
-  /// it into the region's queue.
+  /// records and windows apply in arrival order at every thread count.
+  /// Quarantine/error semantics match add_record. threads = 1 processes the
+  /// window in place (no copy); threads > 1 copy it into the region's queue.
   void add_window(const std::string& region, const ObservationSet& window);
 
   /// What ingest()/ingest_file() report back: how much arrived and the
@@ -336,7 +340,7 @@ class FleetMonitor {
   void finish_region(const std::string& name);
 
   /// Records currently queued (committed to the shard queue plus the
-  /// producer-side buffer) for `region`; 0 at threads = 1, where records
+  /// producer's record batch) for `region`; 0 at threads = 1, where records
   /// apply inline. Producer-thread only, like the ingestion API: this is
   /// the admission-control probe -- a service front end rejects a tenant's
   /// frame (instead of blocking inside ingest) when the shard is already at
@@ -346,7 +350,7 @@ class FleetMonitor {
   const FleetConfig& config() const { return cfg_; }
 
  private:
-  struct Shard;      // per-region FIFO and pipeline applier (defined in fleet.cpp)
+  struct Shard;      // per-region batch FIFO, batch free list and pipeline applier
   struct Committer;  // checkpoint fsync/rename thread (defined in fleet.cpp)
 
   void register_shard(const std::string& name, DetectionPipeline& pipeline);

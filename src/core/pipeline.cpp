@@ -154,6 +154,10 @@ void DetectionPipeline::add_records(std::span<const SensorRecord> recs) {
   windower_.add_batch(recs, [this](ObservationSet&& window) { process_window(window); });
 }
 
+void DetectionPipeline::add_records(const RecordBatch& batch) {
+  windower_.add_batch(batch, [this](ObservationSet&& window) { process_window(window); });
+}
+
 void DetectionPipeline::finish() {
   if (auto last = windower_.flush()) process_window(*last);
 }

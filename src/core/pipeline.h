@@ -152,6 +152,11 @@ class DetectionPipeline {
   /// calling add_record on each element in order.
   void add_records(std::span<const SensorRecord> recs);
 
+  /// Columnar bulk entry (the fleet's shard handoff unit): the same fused
+  /// pass over a RecordBatch's columns. Equivalent to add_records on the
+  /// batch's records as a SensorRecord span.
+  void add_records(const RecordBatch& batch);
+
   /// Close the final partial window.
   void finish();
 

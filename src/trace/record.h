@@ -7,7 +7,9 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,53 @@ struct SensorRecord {
   AttrVec attrs;      // <x_1, ..., x_n>
 
   bool operator==(const SensorRecord&) const = default;
+};
+
+/// A run of records in columnar form: sensor ids, times, and one flat
+/// attribute array strided by `dims`, which is fixed for the whole batch.
+/// This is what a fleet shard hands from its producer to its worker; the
+/// columns keep their capacity across clear(), so a recycled batch refills
+/// without touching the allocator.
+struct RecordBatch {
+  std::size_t dims = 0;  // attribute width of every record in the batch
+  std::vector<SensorId> sensors;
+  std::vector<double> times;
+  std::vector<double> attrs;  // record i's attributes at [i * dims, (i + 1) * dims)
+
+  std::size_t size() const { return sensors.size(); }
+  bool empty() const { return sensors.empty(); }
+  const double* attrs_of(std::size_t i) const { return attrs.data() + i * dims; }
+
+  /// Append the longest prefix of `recs` whose attribute width matches the
+  /// batch's (an empty batch takes the width of recs.front()). Returns how
+  /// many records were appended; fewer than recs.size() means the next one
+  /// is a different width and needs a batch of its own.
+  std::size_t append(std::span<const SensorRecord> recs) {
+    if (recs.empty()) return 0;
+    if (empty()) dims = recs.front().attrs.size();
+    std::size_t n = 0;
+    while (n < recs.size() && recs[n].attrs.size() == dims) ++n;
+    const std::size_t base = size();
+    sensors.resize(base + n);
+    times.resize(base + n);
+    attrs.resize((base + n) * dims);
+    double* dst = attrs.data() + base * dims;
+    for (std::size_t i = 0; i < n; ++i, dst += dims) {
+      const SensorRecord& rec = recs[i];
+      sensors[base + i] = rec.sensor;
+      times[base + i] = rec.time;
+      std::copy(rec.attrs.begin(), rec.attrs.end(), dst);
+    }
+    return n;
+  }
+
+  /// Drop every record, keeping the columns' capacity.
+  void clear() {
+    dims = 0;
+    sensors.clear();
+    times.clear();
+    attrs.clear();
+  }
 };
 
 /// Names of the attribute dimensions (e.g. {"temperature", "humidity"}).

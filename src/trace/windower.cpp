@@ -172,12 +172,12 @@ void Windower::flush_total_gather() {
   gt_count_ = 0;
 }
 
-void Windower::accumulate(const SensorRecord& rec) {
+void Windower::accumulate(SensorId sensor, double time, const double* attrs, std::size_t dims) {
   if (pending_count_ == pending_log_.size()) pending_log_.emplace_back();
   SensorRecord& e = pending_log_[pending_count_];
-  e.sensor = rec.sensor;
-  e.time = rec.time;
-  e.attrs.assign(rec.attrs.begin(), rec.attrs.end());
+  e.sensor = sensor;
+  e.time = time;
+  e.attrs.assign(attrs, attrs + dims);
   ++pending_count_;
   accumulate_entry(e);
 }

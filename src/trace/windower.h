@@ -148,26 +148,17 @@ class Windower {
   template <typename Fn>
   void add_batch(std::span<const SensorRecord> recs, Fn&& on_window) {
     for (const SensorRecord& rec : recs) {
-      const auto idx = index_for(rec.time);
-      if (current_index_ == 0) {
-        open_window(idx);
-      } else if (idx < current_index_) {
-        ++late_records_;
-        continue;
-      } else if (idx > current_index_) {
-        finalize_into(out_);
-        on_window(std::move(out_));
-        // Emit empty windows for any gap so downstream sees time holes.
-        for (std::size_t i = current_index_ + 1; i < idx; ++i) {
-          ObservationSet empty;
-          empty.window_index = i;
-          empty.window_start = window_seconds_ * static_cast<double>(i - 1);
-          empty.window_end = window_seconds_ * static_cast<double>(i);
-          on_window(std::move(empty));
-        }
-        open_window(idx);
-      }
-      accumulate(rec);
+      step(rec.sensor, rec.time, rec.attrs.data(), rec.attrs.size(), on_window);
+    }
+  }
+
+  /// Columnar entry: the same per-record step over a RecordBatch's columns,
+  /// so windows, the arrival-order log and checkpoint bytes are identical to
+  /// feeding the equivalent SensorRecord span.
+  template <typename Fn>
+  void add_batch(const RecordBatch& batch, Fn&& on_window) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      step(batch.sensors[i], batch.times[i], batch.attrs_of(i), batch.dims, on_window);
     }
   }
 
@@ -197,11 +188,40 @@ class Windower {
   static constexpr std::uint32_t kDimsUnset = 0xFFFFFFFFu;
   static constexpr std::size_t kGatherCap = 256;
 
+  /// The one per-record windowing step behind both add_batch entries: route
+  /// the record to its window, emitting every window its arrival completes
+  /// (a late record is counted and dropped), then accumulate it.
+  template <typename Fn>
+  void step(SensorId sensor, double time, const double* attrs, std::size_t dims,
+            Fn& on_window) {
+    const auto idx = index_for(time);
+    if (current_index_ == 0) {
+      open_window(idx);
+    } else if (idx < current_index_) {
+      ++late_records_;
+      return;
+    } else if (idx > current_index_) {
+      finalize_into(out_);
+      on_window(std::move(out_));
+      // Emit empty windows for any gap so downstream sees time holes.
+      for (std::size_t i = current_index_ + 1; i < idx; ++i) {
+        ObservationSet empty;
+        empty.window_index = i;
+        empty.window_start = window_seconds_ * static_cast<double>(i - 1);
+        empty.window_end = window_seconds_ * static_cast<double>(i);
+        on_window(std::move(empty));
+      }
+      open_window(idx);
+    }
+    accumulate(sensor, time, attrs, dims);
+  }
+
   void open_window(std::size_t index);
   std::size_t index_for(double time);
-  /// Log `rec` into the recycled arrival-order log and update the columnar
-  /// accumulators (gather-deferred adds). Allocation-free at steady state.
-  void accumulate(const SensorRecord& rec);
+  /// Log the record into the recycled arrival-order log and update the
+  /// columnar accumulators (gather-deferred adds). Allocation-free at steady
+  /// state.
+  void accumulate(SensorId sensor, double time, const double* attrs, std::size_t dims);
   void accumulate_entry(const SensorRecord& e);
   std::uint32_t slot_for(SensorId id);
   void grow_stride(std::size_t dims);

@@ -20,6 +20,7 @@
 #include "faults/fault_models.h"
 #include "faults/injection_plan.h"
 #include "sim/simulator.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace sentinel::core {
@@ -154,6 +155,8 @@ TEST(FleetParallel, HardwareThreadCountAlsoIdentical) {
 TEST(FleetParallel, WorkerExceptionQuarantinesRegionWithAttribution) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::Counter& drained = util::metrics().counter("fleet.records_drained");
+    const std::uint64_t drained_before = drained.total();
     FleetConfig fc;
     fc.threads = threads;
     FleetMonitor fleet(fc);
@@ -193,6 +196,12 @@ TEST(FleetParallel, WorkerExceptionQuarantinesRegionWithAttribution) {
     // drain() stays a quiescence point and never throws region poison.
     EXPECT_NO_THROW(fleet.drain());
     EXPECT_EQ(fleet.region_health("ok").health, RegionHealth::kHealthy);
+    if (threads > 1) {
+      // Workers count exactly the records they applied -- including the
+      // batches applied ahead of the failing one in the same queue swap.
+      EXPECT_EQ(drained.total() - drained_before,
+                fleet.region_health("ok").records_ingested + bad.records_ingested);
+    }
     EXPECT_GT(fleet.region("ok").windows_processed(), 0u);
 
     // The quarantined region is absent from the report body but present --
@@ -263,6 +272,90 @@ TEST(FleetParallel, InterleavedRecordsAndWindowsKeepArrivalOrder) {
   EXPECT_EQ(run(4, interleaved), serial);
   EXPECT_EQ(run(4, interleaved), serial);
   EXPECT_NE(run(1, windows_last).second, serial.second);  // the order is observable
+}
+
+TEST(FleetParallel, RecordWidthChangeMatchesSerial) {
+  // Attribute widths that change inside one add_records span and across
+  // spans. At threads > 1 a width change closes the producer's record batch,
+  // so the pipeline sees the same record sequence as at threads = 1:
+  //  * "legal" switches to 3-wide records for whole hours reported by only
+  //    two sensors -- windows the pipeline skips (min_sensors_per_window), so
+  //    the region stays healthy;
+  //  * "bad" ends one span with a 3-wide record inside a 2-wide hour, and the
+  //    next span's first record closes that window: the windower's legacy
+  //    dimension-mismatch error quarantines the region.
+  const CycleEnvironment env;
+  const auto record = [&env](SensorId s, std::size_t hour, std::size_t k, std::size_t dims) {
+    const double t = static_cast<double>(hour) * kSecondsPerHour + 300.0 * static_cast<double>(k);
+    AttrVec a = env.truth(t);
+    a[0] += 0.1 * static_cast<double>((s + k) % 5);
+    a[1] -= 0.1 * static_cast<double>((2 * s + k) % 3);
+    a.resize(dims, 1.0);
+    return SensorRecord{s, t, a};
+  };
+  const auto hour_of = [&](std::size_t hour, bool wide) {
+    std::vector<SensorRecord> recs;
+    for (std::size_t k = 0; k < 12; ++k) {
+      for (SensorId s = 0; s < (wide ? 2u : 6u); ++s) {
+        recs.push_back(record(s, hour, k, wide ? 3 : 2));
+      }
+    }
+    return recs;
+  };
+
+  // legal: spans alternate one hour / two hours, so each wide hour (every
+  // 7th) starts either a span or the second half of one.
+  std::vector<std::vector<SensorRecord>> legal;
+  for (std::size_t h = 0; h < 48;) {
+    const std::size_t n = legal.size() % 2 == 0 ? 1 : 2;
+    std::vector<SensorRecord> span;
+    for (std::size_t i = 0; i < n && h < 48; ++i, ++h) {
+      const auto recs = hour_of(h, h % 7 == 4);
+      span.insert(span.end(), recs.begin(), recs.end());
+    }
+    legal.push_back(std::move(span));
+  }
+  // bad: one span per hour; hour 9's span ends with a 3-wide sample from
+  // sensor 0, and hour 10's first record closes that window.
+  std::vector<std::vector<SensorRecord>> bad;
+  for (std::size_t h = 0; h < 24; ++h) {
+    bad.push_back(hour_of(h, false));
+    if (h == 9) bad.back().push_back(record(0, h, 11, 3));
+  }
+
+  const auto run = [&](std::size_t threads) {
+    FleetConfig fc;
+    fc.threads = threads;
+    FleetMonitor fleet(fc);
+    fleet.add_region("bad", region_config());
+    fleet.add_region("legal", region_config());
+    std::size_t offered_bad = 0, offered_legal = 0;
+    for (std::size_t i = 0; i < std::max(legal.size(), bad.size()); ++i) {
+      if (i < legal.size()) {
+        fleet.add_records("legal", legal[i]);
+        offered_legal += legal[i].size();
+      }
+      if (i < bad.size()) {
+        fleet.add_records("bad", bad[i]);
+        offered_bad += bad[i].size();
+      }
+    }
+    fleet.finish();
+    const RegionState& b = fleet.region_health("bad");
+    const RegionState& l = fleet.region_health("legal");
+    EXPECT_EQ(b.records_ingested + b.records_dropped, offered_bad);
+    EXPECT_EQ(l.records_ingested + l.records_dropped, offered_legal);
+    EXPECT_EQ(l.health, RegionHealth::kHealthy);
+    EXPECT_GT(fleet.region("legal").windows_processed(), 0u);
+    return std::make_pair(to_string(fleet.diagnose()), b.status.to_string());
+  };
+
+  const auto serial = run(1);
+  EXPECT_NE(serial.second.find("region bad: pipeline failed: AttrVec dimension mismatch: 2 vs 3"),
+            std::string::npos)
+      << serial.second;
+  EXPECT_EQ(run(4), serial);  // report and quarantine status
+  EXPECT_EQ(run(4), serial);
 }
 
 TEST(FleetParallel, DrainIsQuiescencePoint) {

@@ -362,6 +362,93 @@ TEST(WindowerColumnar, DimensionMismatchThrowsLegacyMessage) {
   EXPECT_EQ(last->sensor_count(), 1u);
 }
 
+// --- the RecordBatch entry --------------------------------------------------
+
+/// Feed `recs` through the columnar entry, one RecordBatch per run of equal
+/// attribute width -- the way the fleet's producer batches them.
+template <class Fn>
+void add_columnar(Windower& w, std::span<const SensorRecord> recs, Fn&& sink) {
+  RecordBatch batch;
+  for (std::size_t done = 0; done < recs.size();) {
+    batch.clear();
+    done += batch.append(recs.subspan(done));
+    w.add_batch(batch, sink);
+  }
+}
+
+std::string checkpoint_bytes(const Windower& w) {
+  std::ostringstream blob(std::ios::binary);
+  serialize::BinaryWriter sw(blob);
+  w.save(sw);
+  return blob.str();
+}
+
+TEST(WindowerColumnar, RecordBatchEntryMatchesSpanEntry) {
+  // Both entries run the same per-record step, so a trace fed as
+  // RecordBatches emits bit-identical windows and leaves byte-identical
+  // checkpoints (the arrival-order log) at every batch boundary.
+  const double window = 60.0;
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    const auto trace = hostile_trace(seed, 600, 3, window);
+    for (const std::size_t batch : {1ul, 5ul, trace.size()}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " batch=" + std::to_string(batch));
+      Windower spans(WindowerConfig{window, true});
+      Windower columns(WindowerConfig{window, true});
+      std::vector<ObservationSet> want, got;
+      const auto sink_want = [&](ObservationSet&& s) { want.push_back(std::move(s)); };
+      const auto sink_got = [&](ObservationSet&& s) { got.push_back(std::move(s)); };
+      for (std::size_t i = 0; i < trace.size(); i += batch) {
+        const std::span<const SensorRecord> recs(trace.data() + i,
+                                                 std::min(batch, trace.size() - i));
+        spans.add_batch(recs, sink_want);
+        add_columnar(columns, recs, sink_got);
+        ASSERT_EQ(checkpoint_bytes(columns), checkpoint_bytes(spans)) << "after record " << i;
+      }
+      if (auto last = spans.flush()) want.push_back(std::move(*last));
+      if (auto last = columns.flush()) got.push_back(std::move(*last));
+      EXPECT_EQ(columns.late_records(), spans.late_records());
+      EXPECT_EQ(columns.clamped_records(), spans.clamped_records());
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        expect_same_window(got[k], want[k], "window[" + std::to_string(k) + "]");
+      }
+    }
+  }
+}
+
+TEST(WindowerColumnar, RecordBatchEntryDimensionMismatchThrowsLegacyMessage) {
+  // DimensionMismatchThrowsLegacyMessage through the columnar entry: the
+  // width change splits the records into two batches, and the window close
+  // in the third throws the same message and leaves the windower usable.
+  std::vector<SensorRecord> recs;
+  recs.push_back({.sensor = 4, .time = 5.0, .attrs = {1.0, 2.0}});
+  recs.push_back({.sensor = 4, .time = 6.0, .attrs = {1.0, 2.0, 3.0}});
+  recs.push_back({.sensor = 7, .time = 70.0, .attrs = {9.0}});  // closes window 1
+  const auto sink = [](ObservationSet&&) {};
+  // Returns the thrown message and the windows emitted after recovering.
+  const auto message = [&](auto&& feed) {
+    Windower w(WindowerConfig{60.0, true});
+    std::string what;
+    try {
+      feed(w);
+    } catch (const std::invalid_argument& e) {
+      what = e.what();
+    }
+    std::size_t emitted = 0;
+    RecordBatch ok;
+    const SensorRecord rec{.sensor = 1, .time = 75.0, .attrs = {1.0, 1.0}};
+    ok.append(std::span<const SensorRecord>(&rec, 1));
+    w.add_batch(ok, [&](ObservationSet&&) { ++emitted; });
+    const auto last = w.flush();
+    EXPECT_TRUE(last.has_value() && last->window_index == 2u && last->sensor_count() == 1u);
+    return std::make_pair(what, emitted);
+  };
+  const auto want =
+      message([&](Windower& w) { w.add_batch(std::span<const SensorRecord>(recs), sink); });
+  EXPECT_EQ(want.first, "AttrVec dimension mismatch: 2 vs 3");
+  EXPECT_EQ(message([&](Windower& w) { add_columnar(w, recs, sink); }), want);
+}
+
 TEST(WindowerColumnar, SaveLoadRoundTripContinuesBitIdentically) {
   // Checkpoint mid-window, restore into a fresh windower, and continue both
   // with the remainder of the trace: every subsequent window must match the
