@@ -319,7 +319,11 @@ ScreenWorkload make_steady_workload(std::size_t suspicious_pct) {
   return w;
 }
 
-void BM_ScreenedSteadyWindows(benchmark::State& state) {
+/// `threads` > 1 times the fleet's window handoff as well: each add_window
+/// copy-assigns the window into one recycled from the region's shard, and
+/// drain() is inside the counted span so windows still in flight when the
+/// upload loop ends are counted too.
+void BM_ScreenedSteadyWindows(benchmark::State& state, std::size_t threads) {
   const auto suspicious_pct = static_cast<std::size_t>(state.range(0));
   const auto mode =
       state.range(1) == 0 ? screen::ScreenMode::kOff : screen::ScreenMode::kScreen;
@@ -341,7 +345,7 @@ void BM_ScreenedSteadyWindows(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     core::FleetConfig fc;
-    fc.threads = 1;
+    fc.threads = threads;
     auto fleet = std::make_unique<core::FleetMonitor>(fc);
     core::PipelineConfig pc = w.pipeline_config;
     pc.screen.mode = mode;
@@ -351,6 +355,7 @@ void BM_ScreenedSteadyWindows(benchmark::State& state) {
         fleet->add_window(names[r], w.regions[r].windows[i]);
       }
     }
+    fleet->drain();
     state.ResumeTiming();
     const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
     for (std::size_t i = kWarmWindows; i < kWindows; ++i) {
@@ -358,6 +363,7 @@ void BM_ScreenedSteadyWindows(benchmark::State& state) {
         fleet->add_window(names[r], w.regions[r].windows[i]);
       }
     }
+    fleet->drain();
     hot_allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
     hot_windows += kRegions * (kWindows - kWarmWindows);
     state.PauseTiming();
@@ -371,6 +377,8 @@ void BM_ScreenedSteadyWindows(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kRegions *
                                                     (kWindows - kWarmWindows)));
 }
+
+void BM_ScreenedSteadyWindows(benchmark::State& state) { BM_ScreenedSteadyWindows(state, 1); }
 
 }  // namespace
 
@@ -391,6 +399,14 @@ BENCHMARK(BM_ScreenedFleetWindows)
 
 BENCHMARK(BM_ScreenedSteadyWindows)
     ->Args({10, 0})
+    ->Args({10, 1})
+    ->ArgNames({"suspicious_pct", "screen"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Registered apart so the threads = 1 rows keep their names (and their
+// BENCH_screen.json baselines).
+BENCHMARK_CAPTURE(BM_ScreenedSteadyWindows, threads:4, 4)
     ->Args({10, 1})
     ->ArgNames({"suspicious_pct", "screen"})
     ->Unit(benchmark::kMillisecond)

@@ -150,13 +150,17 @@ std::string to_string(const FleetReport& r) {
 /// window in place and the FIFO stays empty. `producer` belongs to the
 /// (single) producer thread: add_records appends columns to it, and it is
 /// handed off under the lock once per FleetConfig::batch_records (or when a
-/// record's width differs from the batch's). Batches circulate: the worker
-/// clears each one it applied and returns it to `free_batches`, and a
-/// handoff takes its replacement from there, so at steady state a handoff
-/// allocates nothing and the free list never outgrows the batches that were
-/// in flight at once. Workers never touch health_ directly: a failure is
-/// parked in `error`/`dropped` under the lock and the producer folds it into
-/// the region's health record (absorb_shard_faults) -- keeping every health
+/// record's width differs from the batch's). Batches and windows circulate:
+/// the worker returns each one it applied to `free_batches` (cleared) or
+/// `free_windows` (as is -- the next copy-assignment overwrites every
+/// field), and a handoff takes its replacement from there, so at steady
+/// state a handoff allocates nothing and the free lists never outgrow what
+/// was in flight at once. At most one window waits in `queue` untaken by
+/// the drain task (add_window blocks before copying while one does), so a
+/// region holds about two window copies: one being applied, one queued.
+/// Workers never touch health_ directly: a failure is parked in
+/// `error`/`dropped` under the lock and the producer folds it into the
+/// region's health record (absorb_shard_faults) -- keeping every health
 /// transition on the caller thread, hence deterministic at any thread count.
 struct FleetMonitor::Shard {
   Shard(std::string region_name, DetectionPipeline& p)
@@ -188,19 +192,36 @@ struct FleetMonitor::Shard {
     return false;
   }
 
+  /// Return an applied FIFO item to its free list (drain task).
+  void recycle(RecordBatch& batch) {
+    batch.clear();
+    std::lock_guard<std::mutex> lock(mu);
+    free_batches.push_back(std::move(batch));
+  }
+  void recycle(ObservationSet& window) {
+    std::lock_guard<std::mutex> lock(mu);
+    free_windows.push_back(std::move(window));
+  }
+
+  /// Under mu: mark the shard as owned by a drain task. True when none was,
+  /// i.e. the caller must post one.
+  bool claim_drain() { return !std::exchange(draining, true); }
+
   std::string name;
   RecordBatch producer;  // producer-thread-only
   std::mutex mu;
   std::condition_variable cv;  // queue shrank, drain finished, or error set
   // Whole producer batches and copied windows, in arrival order: a handoff
   // moves one batch, and the drain side feeds each batch to the pipeline's
-  // columnar entry. queue_records counts the batches' records for
-  // backpressure; windows are coarse and uncapped.
+  // columnar entry. queue_records counts the batches' records against
+  // max_queue_records; queue_windows counts windows (at most one).
   using Fifo = std::vector<std::variant<RecordBatch, ObservationSet>>;
   Fifo queue;
-  std::vector<RecordBatch> free_batches;  // applied batches, cleared (under mu)
+  std::vector<RecordBatch> free_batches;     // applied batches, cleared (under mu)
+  std::vector<ObservationSet> free_windows;  // applied windows (under mu)
   Fifo work;  // the queue as swapped out by the drain task (drain task only)
   std::size_t queue_records = 0;
+  std::size_t queue_windows = 0;
   bool draining = false;     // a pool task owns this shard's pipeline
   std::exception_ptr error;  // first pipeline exception, folded into health
   std::size_t dropped = 0;   // accepted records discarded behind a failure
@@ -513,7 +534,8 @@ void FleetMonitor::add_window(const std::string& region, const ObservationSet& w
   if (cfg_.threads == 1) {
     if (!sh.apply(window)) absorb_shard_faults();  // in place, no copy
   } else {
-    flush_shard(sh, &window);
+    flush_shard(sh);  // records offered earlier go first
+    hand_off_window(sh, window);
   }
   maybe_checkpoint(region, st);
 }
@@ -694,72 +716,96 @@ FleetMonitor::IngestSummary FleetMonitor::ingest_file(const std::string& region,
   return ingest(region, *reader, 0, skip_records);
 }
 
-/// Hand the producer batch -- then `window`, if given, behind it -- to the
-/// shard's FIFO and make sure a drain task is (or will be) running. Called
-/// by the producer thread only. A parked worker error makes this a
-/// drop-and-fold instead of a handoff.
-void FleetMonitor::flush_shard(Shard& sh, const ObservationSet* window) const {
+template <class Lock, class Ready>
+void FleetMonitor::backpressure_wait(Shard& sh, Lock& lock, Ready ready) const {
+  if (sh.error || ready()) return;
+  // A full queue is a documented-healthy state (the producer simply outran
+  // the pipeline), counted -- and the block attributed to this region by
+  // duration -- so operators can size max_queue_records and a service front
+  // end can bill the stall to the tenant that caused it.
+  m_backpressure_->inc();
+  RegionState& st = state_of(sh.name);
+  ++st.backpressure_waits;
+  const auto t0 = std::chrono::steady_clock::now();
+  sh.cv.wait(lock, [&] { return sh.error || ready(); });
+  const auto blocked = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() - t0)
+          .count());
+  st.backpressure_block_ns += blocked;
+  m_backpressure_ns_->add(blocked);
+}
+
+/// Hand the producer batch to the shard's FIFO and make sure a drain task is
+/// (or will be) running. Called by the producer thread only. A parked
+/// worker error makes this a drop-and-fold instead of a handoff.
+void FleetMonitor::flush_shard(Shard& sh) const {
   const std::size_t nbuf = sh.producer.size();
-  if (nbuf == 0 && window == nullptr) return;
-  std::optional<ObservationSet> copy;
-  if (window != nullptr) copy.emplace(*window);  // copied outside the lock
-  bool start_drain = false;
+  if (nbuf == 0) return;
+  bool post = false;
   bool failed = false;
   {
     std::unique_lock<std::mutex> lock(sh.mu);
-    if (nbuf > 0 && !sh.error) {
-      // Backpressure: block while the region's queue is at capacity
-      // (records, not batches). A full queue is a documented-healthy state
-      // (the producer simply outran the pipeline), counted -- and the block
-      // attributed to this region by duration -- so operators can size
-      // max_queue_records and a service front end can bill the stall to the
-      // tenant that caused it.
-      if (sh.queue_records >= cfg_.max_queue_records) {
-        m_backpressure_->inc();
-        RegionState& st = state_of(sh.name);
-        ++st.backpressure_waits;
-        const auto t0 = std::chrono::steady_clock::now();
-        sh.cv.wait(lock, [&] { return sh.queue_records < cfg_.max_queue_records || sh.error; });
-        const auto blocked = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-        st.backpressure_block_ns += blocked;
-        m_backpressure_ns_->add(blocked);
-      }
-    }
+    // Backpressure: block while the region's queue is at capacity (records,
+    // not batches).
+    backpressure_wait(sh, lock, [&] { return sh.queue_records < cfg_.max_queue_records; });
     if (sh.error) {
-      sh.dropped += nbuf + (copy ? weight_of(*copy) : 0);
+      sh.dropped += nbuf;
       failed = true;
     } else {
-      if (nbuf > 0) {
-        // Whole-batch handoff: the batch moves into the FIFO and a recycled
-        // one (if any) takes its place -- no per-record copies, and no
-        // allocation once the shard's batches are circulating.
-        sh.queue.emplace_back(std::move(sh.producer));
-        if (!sh.free_batches.empty()) {
-          sh.producer = std::move(sh.free_batches.back());
-          sh.free_batches.pop_back();
-        }
-        sh.queue_records += nbuf;
-        m_queue_depth_->record(sh.queue_records);
+      // Whole-batch handoff: the batch moves into the FIFO and a recycled
+      // one (if any) takes its place -- no per-record copies, and no
+      // allocation once the shard's batches are circulating.
+      sh.queue.emplace_back(std::move(sh.producer));
+      if (!sh.free_batches.empty()) {
+        sh.producer = std::move(sh.free_batches.back());
+        sh.free_batches.pop_back();
       }
-      if (copy) sh.queue.emplace_back(std::move(*copy));
-      if (!sh.draining) {
-        sh.draining = true;
-        start_drain = true;
-      }
+      sh.queue_records += nbuf;
+      m_queue_depth_->record(sh.queue_records);
+      post = sh.claim_drain();
     }
   }
-  if (nbuf > 0) {
-    m_handoffs_->inc();
-    if (!failed) m_enqueued_->add(nbuf);
-    sh.producer.clear();
-  }
-  if (start_drain) {
-    pool_->post([this, &sh] { drain_shard(sh); });
-  }
+  m_handoffs_->inc();
+  if (!failed) m_enqueued_->add(nbuf);
+  sh.producer.clear();
+  if (post) pool_->post([this, &sh] { drain_shard(sh); });
   if (failed) absorb_shard_faults();
+}
+
+void FleetMonitor::hand_off_window(Shard& sh, const ObservationSet& window) const {
+  ObservationSet slot;
+  bool failed = false;
+  {
+    std::unique_lock<std::mutex> lock(sh.mu);
+    // Bounded: wait -- before copying -- until the drain task has taken the
+    // previous window, so a region never holds more than the window being
+    // applied and this one.
+    backpressure_wait(sh, lock, [&] { return sh.queue_windows == 0; });
+    if (sh.error) {
+      // It would only be dropped behind the failure: count it, don't copy it.
+      sh.dropped += weight_of(window);
+      failed = true;
+    } else if (!sh.free_windows.empty()) {
+      slot = std::move(sh.free_windows.back());
+      sh.free_windows.pop_back();
+    }
+  }
+  if (failed) {
+    absorb_shard_faults();
+    return;
+  }
+  // Copied outside the lock. Copy-assignment reuses the recycled window's
+  // vector capacity, so a rep-array window the shape of an earlier one
+  // allocates nothing.
+  slot = window;
+  bool post = false;
+  {
+    std::lock_guard<std::mutex> lock(sh.mu);
+    sh.queue.emplace_back(std::move(slot));
+    ++sh.queue_windows;
+    post = sh.claim_drain();
+  }
+  if (post) pool_->post([this, &sh] { drain_shard(sh); });
 }
 
 void FleetMonitor::drain_shard(Shard& sh) const {
@@ -773,6 +819,7 @@ void FleetMonitor::drain_shard(Shard& sh) const {
       }
       sh.work.swap(sh.queue);  // the queue takes the (empty) spare's capacity
       sh.queue_records = 0;
+      sh.queue_windows = 0;
     }
     sh.cv.notify_all();  // queue emptied; unblock backpressured producers
     // Arrival order, so the record sequence (hence the report) is identical
@@ -782,14 +829,12 @@ void FleetMonitor::drain_shard(Shard& sh) const {
     for (auto& item : sh.work) {
       const bool applied = std::visit([&sh](const auto& w) { return sh.apply(w); }, item);
       any_applied = any_applied || applied;
-      if (auto* batch = std::get_if<RecordBatch>(&item)) {
-        if (applied) m_drained_->add(batch->size());
-        batch->clear();
-        std::lock_guard<std::mutex> lock(sh.mu);
-        sh.free_batches.push_back(std::move(*batch));
+      if (const auto* batch = std::get_if<RecordBatch>(&item); batch && applied) {
+        m_drained_->add(batch->size());
       }
+      std::visit([&sh](auto& w) { sh.recycle(w); }, item);
     }
-    sh.work.clear();  // frees window copies outside the lock
+    sh.work.clear();  // only moved-from items left: frees nothing
     if (!any_applied) continue;
     m_drain_batches_->inc();
     SENTINEL_FAULT_POINT(util::fault::kDrainBatch);

@@ -96,7 +96,8 @@ struct RegionState {
   MalformedCounts malformed;
   std::size_t comment_lines = 0;
   /// Backpressure attribution (always 0 at threads = 1): how many producer
-  /// flushes found this region's queue at capacity, and the total
+  /// flushes found this region's queue at capacity (max_queue_records
+  /// records, or a queued window the drain task has not taken), and the total
   /// wall-clock the producer spent blocked in those waits. Purely
   /// observational -- timing-dependent, so never rendered into reports --
   /// but it is what lets an admission controller (src/service) or an
@@ -156,8 +157,10 @@ struct FleetConfig {
   /// when producers outrun the pipelines. Deeper queues cost memory (queued
   /// records are columnar: 4 + 8 + 8*dims bytes each, 28 B at two
   /// attributes) but reduce producer stalls on oversubscribed machines.
-  /// Backpressure is a documented-healthy state: the wait is counted
-  /// (fleet.backpressure_waits), not a health transition.
+  /// Windows (add_window) have their own fixed bound of one queued window
+  /// per region, whatever this value. Backpressure is a documented-healthy
+  /// state: the wait is counted (fleet.backpressure_waits), not a health
+  /// transition.
   std::size_t max_queue_records = 16384;
   /// Producer-side batch (threads > 1): add_record appends the record's
   /// columns to an unlocked per-region RecordBatch and only takes the shard
@@ -237,10 +240,15 @@ class FleetMonitor {
   /// windower entirely; the window is processed as-is, so its per_sensor map
   /// (or rep arrays) must already hold one representative per sensor.
   /// Windows count toward records_ingested and checkpoint cadence at weight
-  /// per_sensor.size(), but never block on the queue bound. Within a region,
-  /// records and windows apply in arrival order at every thread count.
-  /// Quarantine/error semantics match add_record. threads = 1 processes the
-  /// window in place (no copy); threads > 1 copy it into the region's queue.
+  /// sensor_count(). Within a region, records and windows apply in arrival
+  /// order at every thread count. Quarantine/error semantics match
+  /// add_record. threads = 1 processes the window in place (no copy).
+  /// threads > 1 copy-assign it into a window recycled from the region's
+  /// shard (no allocation once the shard's windows circulate); at most one
+  /// copied window waits untaken in a region's queue, so a call blocks --
+  /// before copying -- while one does. That wait is backpressure, counted
+  /// like a record wait (fleet.backpressure_waits, RegionState), and a
+  /// window for a shard holding a worker failure is dropped uncopied.
   void add_window(const std::string& region, const ObservationSet& window);
 
   /// What ingest()/ingest_file() report back: how much arrived and the
@@ -350,12 +358,21 @@ class FleetMonitor {
   const FleetConfig& config() const { return cfg_; }
 
  private:
-  struct Shard;      // per-region batch FIFO, batch free list and pipeline applier
+  struct Shard;      // per-region FIFO, batch/window free lists and pipeline applier
   struct Committer;  // checkpoint fsync/rename thread (defined in fleet.cpp)
 
   void register_shard(const std::string& name, DetectionPipeline& pipeline);
   Shard& shard_of(const std::string& region) const;
-  void flush_shard(Shard& shard, const ObservationSet* window = nullptr) const;
+  /// Hand the producer's record batch to the shard FIFO (threads > 1).
+  void flush_shard(Shard& shard) const;
+  /// Copy `window` into a recycled window and queue it behind the shard's
+  /// records (threads > 1), once no other window waits untaken.
+  void hand_off_window(Shard& shard, const ObservationSet& window) const;
+  /// Block the producer, holding `lock` on the shard mutex, until `ready()`
+  /// or a parked worker error; a wait that happens is counted as
+  /// backpressure (fleet counters and the region's RegionState).
+  template <class Lock, class Ready>
+  void backpressure_wait(Shard& shard, Lock& lock, Ready ready) const;
   void drain_shard(Shard& shard) const;
   /// Block until `shard` is quiescent: its queue empty and no drain task
   /// running.

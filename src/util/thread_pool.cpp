@@ -94,7 +94,16 @@ void ThreadPool::post(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) throw std::runtime_error("ThreadPool::post on stopping pool");
-    tasks_.push_back(std::move(task));
+    if (queued_ == tasks_.size()) {
+      std::vector<std::function<void()>> grown(std::max<std::size_t>(16, 2 * tasks_.size()));
+      for (std::size_t i = 0; i < queued_; ++i) {
+        grown[i] = std::move(tasks_[(head_ + i) % tasks_.size()]);
+      }
+      tasks_.swap(grown);
+      head_ = 0;
+    }
+    tasks_[(head_ + queued_) % tasks_.size()] = std::move(task);
+    ++queued_;
   }
   cv_.notify_one();
 }
@@ -104,10 +113,12 @@ void ThreadPool::worker_loop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stopping and drained
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
+      cv_.wait(lock, [this] { return stopping_ || queued_ > 0; });
+      if (queued_ == 0) return;  // stopping and drained
+      task = std::move(tasks_[head_]);
+      tasks_[head_] = nullptr;
+      head_ = (head_ + 1) % tasks_.size();
+      --queued_;
     }
     task();
   }

@@ -23,7 +23,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -89,7 +88,13 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> tasks_;
+  // FIFO ring: the queued tasks are tasks_[(head_ + i) % tasks_.size()] for
+  // i < queued_. It only grows (doubling when full) and reuses its slots, so
+  // a steady stream of posts -- one fleet drain task per handoff --
+  // allocates nothing.
+  std::vector<std::function<void()>> tasks_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
   std::size_t logical_size_ = 0;

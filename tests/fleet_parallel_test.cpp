@@ -19,9 +19,11 @@
 #include "faults/attack_models.h"
 #include "faults/fault_models.h"
 #include "faults/injection_plan.h"
+#include "screen/screen.h"
 #include "sim/simulator.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
+#include "util/vecn.h"
 
 namespace sentinel::core {
 namespace {
@@ -356,6 +358,156 @@ TEST(FleetParallel, RecordWidthChangeMatchesSerial) {
       << serial.second;
   EXPECT_EQ(run(4), serial);  // report and quarantine status
   EXPECT_EQ(run(4), serial);
+}
+
+TEST(FleetParallel, RecycledWindowCopiesMatchSerial) {
+  // At threads > 1 add_window copy-assigns the caller's window into a window
+  // recycled from the shard. The caller here reuses and mutates ONE
+  // ObservationSet across every call, and the shapes vary: the sensor count
+  // shrinks and grows, and the fields present cycle through
+  //  0. rep arrays + rep_sums + rep_total + cached_mean (a cluster-head upload),
+  //  1. rep arrays + raw (no cached_mean, rep_sums or rep_total),
+  //  2. per_sensor + raw (hand-built),
+  //  3. per_sensor + cached_mean (no raw).
+  // A recycled copy that kept any field of an earlier window (rep arrays in a
+  // per_sensor window, stale rep_sums or cached_mean) feeds the pipeline a
+  // different window than threads = 1 applies in place.
+  const CycleEnvironment env;
+  const std::size_t counts[] = {6, 9, 4, 12, 3, 8, 5};
+  const auto run = [&](std::size_t threads) {
+    FleetConfig fc;
+    fc.threads = threads;
+    FleetMonitor fleet(fc);
+    PipelineConfig screened = region_config();
+    screened.screen.mode = screen::ScreenMode::kScreen;
+    fleet.add_region("plain", region_config());
+    fleet.add_region("screened", screened);
+
+    ObservationSet w;
+    for (std::size_t i = 0; i < 96; ++i) {
+      w.window_index = i + 1;
+      w.window_start = static_cast<double>(i) * kSecondsPerHour;
+      w.window_end = w.window_start + kSecondsPerHour;
+      w.raw.clear();
+      w.per_sensor.clear();
+      w.cached_mean.clear();
+      w.rep_sensors.clear();
+      w.rep_points.clear();
+      w.rep_sums.clear();
+      w.rep_total.clear();
+      const std::size_t shape = i % 4;
+      const std::size_t sensors = counts[i % std::size(counts)];
+      const AttrVec truth = env.truth(w.window_start);
+      for (SensorId s = 0; s < sensors; ++s) {
+        AttrVec p = (s == 2 && i >= 24) ? AttrVec{20.0, 5.0} : truth;
+        p[0] += 0.1 * static_cast<double>((7 * s + 3 * i) % 5) - 0.2;
+        p[1] -= 0.1 * static_cast<double>((5 * s + i) % 3);
+        if (shape <= 1) {
+          w.rep_sensors.push_back(s);
+          w.rep_points.push_back(p);
+        } else {
+          w.per_sensor[s] = p;
+        }
+        if (shape == 1 || shape == 2) w.raw.push_back(p);
+      }
+      if (shape == 0 || shape == 3) {
+        std::vector<AttrVec> reps;
+        for (const auto& [id, p] : w.representatives()) reps.push_back(p);
+        w.cached_mean = vecn::mean(reps);
+      }
+      if (shape == 0) {
+        w.rep_total.assign(2, 0.0);
+        for (const auto& p : w.rep_points) {
+          w.rep_sums.push_back(vecn::scalar_sum(p));
+          w.rep_total[0] += p[0];
+          w.rep_total[1] += p[1];
+        }
+      }
+      fleet.add_window("plain", w);
+      fleet.add_window("screened", w);
+    }
+    fleet.finish();
+    std::string out = to_string(fleet.diagnose());
+    for (const std::string name : {"plain", "screened"}) {
+      EXPECT_EQ(fleet.region_health(name).health, RegionHealth::kHealthy) << name;
+      std::ostringstream state;
+      fleet.region(name).save_checkpoint(state, serialize::Format::kText,
+                                         CheckpointScope::kResumable);
+      out += state.str();
+    }
+    return out;
+  };
+
+  const std::string serial = run(1);
+  EXPECT_NE(serial.find("sensor 2:"), std::string::npos);  // the stuck sensor is diagnosed
+  EXPECT_EQ(run(4), serial);
+  EXPECT_EQ(run(4), serial);
+}
+
+TEST(FleetParallel, WindowBackpressureSurvivesFailingWorker) {
+  // A window the pipeline cannot apply (3 attributes into a 2-attribute
+  // region) fails inside a worker at threads > 1. add_window waits while a
+  // window sits untaken in the shard queue; that wait must also end on the
+  // parked failure, so the windows and records sent after it return (no
+  // hang), are dropped behind the failure, and are counted.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FleetConfig fc;
+    fc.threads = threads;
+    fc.batch_records = 8;
+    FleetMonitor fleet(fc);
+    fleet.add_region("bad", region_config());
+    fleet.add_region("ok", region_config());
+
+    const auto window = [](std::size_t i, std::size_t dims) {
+      ObservationSet w;
+      w.window_index = i + 1;
+      w.window_start = static_cast<double>(i) * kSecondsPerHour;
+      w.window_end = w.window_start + kSecondsPerHour;
+      for (SensorId s = 0; s < 6; ++s) {
+        AttrVec p{10.0 + 0.1 * s, 60.0};
+        p.resize(dims, 1.0);
+        w.rep_sensors.push_back(s);
+        w.rep_points.push_back(p);
+        w.raw.push_back(p);
+      }
+      return w;
+    };
+    std::size_t offered = 0;
+    for (std::size_t i = 0; i < 4; ++i) {  // healthy windows ahead of the failure
+      fleet.add_window("bad", window(i, 2));
+      fleet.add_window("ok", window(i, 2));
+      offered += 6;
+    }
+    fleet.add_window("bad", window(4, 3));  // throws in the pipeline
+    offered += 6;
+    for (std::size_t i = 5; i < 12; ++i) {  // at least three more behind it
+      fleet.add_window("bad", window(i, 2));
+      fleet.add_window("ok", window(i, 2));
+      offered += 6;
+    }
+    std::vector<SensorRecord> span;
+    for (SensorId s = 0; s < 6; ++s) span.push_back({s, 12.5 * kSecondsPerHour, {10.0, 60.0}});
+    fleet.add_records("bad", span);
+    offered += span.size();
+    fleet.add_window("bad", window(13, 2));
+    offered += 6;
+    fleet.finish();
+
+    const RegionState& bad = fleet.region_health("bad");
+    EXPECT_EQ(bad.health, RegionHealth::kQuarantined);
+    EXPECT_NE(bad.status.message().find("region bad: pipeline failed"), std::string::npos)
+        << bad.status.to_string();
+    ASSERT_TRUE(bad.error);
+    EXPECT_THROW(std::rethrow_exception(bad.error), std::invalid_argument);
+    EXPECT_EQ(bad.records_ingested, 4u * 6u);  // exactly the windows applied
+    EXPECT_EQ(bad.records_ingested + bad.records_dropped, offered);
+    EXPECT_EQ(fleet.region_health("ok").health, RegionHealth::kHealthy);
+    EXPECT_EQ(fleet.region("ok").windows_processed(), 11u);
+    const FleetReport report = fleet.diagnose();
+    EXPECT_EQ(report.regions.count("bad"), 0u);
+    EXPECT_EQ(report.regions.count("ok"), 1u);
+  }
 }
 
 TEST(FleetParallel, DrainIsQuiescencePoint) {
