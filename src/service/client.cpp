@@ -56,16 +56,19 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void Client::process_event(const AckBody& body) {
+util::Status Client::process_event(std::span<const unsigned char> payload) {
+  AckBody body;
+  if (const auto st = parse_ack(payload, body); !st.is_ok()) return st;
   if (body.code == util::StatusCode::kResourceExhausted ||
       body.code == util::StatusCode::kFailedPrecondition) {
     // Stream control: rewind to the sequence number the server names (the
     // earliest one wins when several rejects pile up).
     if (!rewind_pending_ || body.value < rewind_seq_) rewind_seq_ = body.value;
     rewind_pending_ = true;
-    return;
+  } else {
+    health_events_.push_back(std::move(body));
   }
-  health_events_.push_back(body);
+  return util::Status::ok();
 }
 
 util::Status Client::drain_events() {
@@ -82,9 +85,7 @@ util::Status Client::drain_events() {
       return util::Status(util::StatusCode::kInternal,
                           "service client: unexpected frame while streaming");
     }
-    AckBody body;
-    if (const auto ps = parse_ack(scratch_.payload, body); !ps.is_ok()) return ps;
-    process_event(body);
+    if (const auto st = process_event(scratch_.payload); !st.is_ok()) return st;
   }
 }
 
@@ -94,9 +95,7 @@ util::Status Client::read_until(FrameType type, Frame& f) {
     if (!st.is_ok()) return conn_lost("connection lost awaiting reply");
     if (f.type == type) return util::Status::ok();
     if (f.type == FrameType::kEvent) {
-      AckBody body;
-      if (const auto ps = parse_ack(f.payload, body); !ps.is_ok()) return ps;
-      process_event(body);
+      if (const auto st = process_event(f.payload); !st.is_ok()) return st;
       continue;
     }
     if (f.type == FrameType::kAck) {
@@ -109,23 +108,48 @@ util::Status Client::read_until(FrameType type, Frame& f) {
   }
 }
 
+util::Result<std::uint64_t> Client::exchange_ack(FrameType type,
+                                                 std::span<const unsigned char> payload) {
+  if (const auto st = write_frame(fd_, type, payload.data(), payload.size()); !st.is_ok()) {
+    return st;
+  }
+  if (const auto st = read_until(FrameType::kAck, scratch_); !st.is_ok()) return st;
+  AckBody body;
+  if (const auto st = parse_ack(scratch_.payload, body); !st.is_ok()) return st;
+  if (body.code != util::StatusCode::kOk) return util::Status(body.code, body.message);
+  return body.value;
+}
+
+util::Result<std::string> Client::request_text(FrameType type,
+                                               std::span<const unsigned char> payload) {
+  if (dims_ != 0) {
+    if (const auto st = sync(); !st.is_ok()) return st;
+  }
+  if (const auto st = write_frame(fd_, type, payload.data(), payload.size()); !st.is_ok()) {
+    return st;
+  }
+  if (const auto st = read_until(FrameType::kText, scratch_); !st.is_ok()) return st;
+  return std::string(reinterpret_cast<const char*>(scratch_.payload.data()),
+                     scratch_.payload.size());
+}
+
+util::Status Client::request_ack(FrameType type) {
+  if (dims_ != 0) {
+    if (const auto st = sync(); !st.is_ok()) return st;
+  }
+  return exchange_ack(type).status();
+}
+
 util::Result<std::uint64_t> Client::hello(const std::string& region, std::size_t dims) {
   std::vector<unsigned char> payload(4 + region.size());
   put_u32le(payload.data(), static_cast<std::uint32_t>(dims));
   std::memcpy(payload.data() + 4, region.data(), region.size());
-  if (const auto st = write_frame(fd_, FrameType::kHello, payload.data(), payload.size());
-      !st.is_ok()) {
-    return st;
-  }
-  Frame f;
-  if (const auto st = read_until(FrameType::kAck, f); !st.is_ok()) return st;
-  AckBody body;
-  if (const auto st = parse_ack(f.payload, body); !st.is_ok()) return st;
-  if (body.code != util::StatusCode::kOk) return util::Status(body.code, body.message);
+  const auto offset = exchange_ack(FrameType::kHello, payload);
+  if (!offset.is_ok()) return offset;
   dims_ = dims;
   record_bytes_ = binary_trace_record_bytes(dims);
   pending_base_ = 0;
-  return body.value;
+  return offset;
 }
 
 void Client::seal_current() {
@@ -197,12 +221,7 @@ util::Status Client::sync() {
     // Barrier: the ack arrives after the server classified every earlier
     // frame (TCP preserves our send order), so a clean ack means everything
     // pending was accepted.
-    if (const auto st = write_frame(fd_, FrameType::kFlush, nullptr, 0); !st.is_ok()) return st;
-    Frame f;
-    if (const auto st = read_until(FrameType::kAck, f); !st.is_ok()) return st;
-    AckBody body;
-    if (const auto st = parse_ack(f.payload, body); !st.is_ok()) return st;
-    if (body.code != util::StatusCode::kOk) return util::Status(body.code, body.message);
+    if (const auto acked = exchange_ack(FrameType::kFlush); !acked.is_ok()) return acked.status();
     if (rewind_pending_) continue;  // a reject raced ahead of the ack
 
     pending_base_ += pending_.size();  // sequence numbers keep counting up
@@ -231,66 +250,17 @@ util::Result<std::uint64_t> Client::stream_reader(TraceReader& reader, std::size
 }
 
 util::Result<std::string> Client::report(bool finalize, bool fleet_scope) {
-  if (dims_ != 0) {
-    if (const auto st = sync(); !st.is_ok()) return st;
-  }
-  unsigned char payload[2] = {static_cast<unsigned char>(finalize ? 1 : 0),
-                              static_cast<unsigned char>(fleet_scope ? 1 : 0)};
-  if (const auto st = write_frame(fd_, FrameType::kReport, payload, sizeof payload);
-      !st.is_ok()) {
-    return st;
-  }
-  Frame f;
-  if (const auto st = read_until(FrameType::kText, f); !st.is_ok()) return st;
-  return std::string(reinterpret_cast<const char*>(f.payload.data()), f.payload.size());
+  const unsigned char payload[2] = {static_cast<unsigned char>(finalize ? 1 : 0),
+                                    static_cast<unsigned char>(fleet_scope ? 1 : 0)};
+  return request_text(FrameType::kReport, payload);
 }
 
-util::Result<std::string> Client::metrics_json() {
-  if (dims_ != 0) {
-    if (const auto st = sync(); !st.is_ok()) return st;
-  }
-  if (const auto st = write_frame(fd_, FrameType::kMetrics, nullptr, 0); !st.is_ok()) return st;
-  Frame f;
-  if (const auto st = read_until(FrameType::kText, f); !st.is_ok()) return st;
-  return std::string(reinterpret_cast<const char*>(f.payload.data()), f.payload.size());
-}
+util::Result<std::string> Client::metrics_json() { return request_text(FrameType::kMetrics); }
 
-util::Result<std::string> Client::health_text() {
-  if (dims_ != 0) {
-    if (const auto st = sync(); !st.is_ok()) return st;
-  }
-  if (const auto st = write_frame(fd_, FrameType::kHealth, nullptr, 0); !st.is_ok()) return st;
-  Frame f;
-  if (const auto st = read_until(FrameType::kText, f); !st.is_ok()) return st;
-  return std::string(reinterpret_cast<const char*>(f.payload.data()), f.payload.size());
-}
+util::Result<std::string> Client::health_text() { return request_text(FrameType::kHealth); }
 
-util::Status Client::checkpoint() {
-  if (dims_ != 0) {
-    if (const auto st = sync(); !st.is_ok()) return st;
-  }
-  if (const auto st = write_frame(fd_, FrameType::kCheckpoint, nullptr, 0); !st.is_ok()) {
-    return st;
-  }
-  Frame f;
-  if (const auto st = read_until(FrameType::kAck, f); !st.is_ok()) return st;
-  AckBody body;
-  if (const auto st = parse_ack(f.payload, body); !st.is_ok()) return st;
-  if (body.code != util::StatusCode::kOk) return util::Status(body.code, body.message);
-  return util::Status::ok();
-}
+util::Status Client::checkpoint() { return request_ack(FrameType::kCheckpoint); }
 
-util::Status Client::shutdown_server() {
-  if (dims_ != 0) {
-    if (const auto st = sync(); !st.is_ok()) return st;
-  }
-  if (const auto st = write_frame(fd_, FrameType::kShutdown, nullptr, 0); !st.is_ok()) return st;
-  Frame f;
-  if (const auto st = read_until(FrameType::kAck, f); !st.is_ok()) return st;
-  AckBody body;
-  if (const auto st = parse_ack(f.payload, body); !st.is_ok()) return st;
-  if (body.code != util::StatusCode::kOk) return util::Status(body.code, body.message);
-  return util::Status::ok();
-}
+util::Status Client::shutdown_server() { return request_ack(FrameType::kShutdown); }
 
 }  // namespace sentinel::service

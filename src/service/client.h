@@ -106,8 +106,8 @@ class Client {
   /// Transmit pending frames from the send cursor, then run the kFlush
   /// barrier, rewinding and resending until the stream is clean.
   util::Status sync();
-  /// Fold one kEvent into rewind/health state.
-  void process_event(const AckBody& body);
+  /// Fold one kEvent payload into rewind/health state.
+  util::Status process_event(std::span<const unsigned char> payload);
   /// Drain any already-arrived frames without blocking (only kEvents can
   /// arrive unsolicited).
   util::Status drain_events();
@@ -115,6 +115,14 @@ class Client {
   /// are processed.
   util::Status read_until(FrameType type, Frame& f);
   util::Status transmit(std::size_t index);
+  /// Write one request and read its kAck: the ack's value, or its error.
+  util::Result<std::uint64_t> exchange_ack(FrameType type,
+                                           std::span<const unsigned char> payload = {});
+  /// Control requests: sync() first once bound, so the reply covers
+  /// everything sent; then the kText body / the kAck's status.
+  util::Result<std::string> request_text(FrameType type,
+                                         std::span<const unsigned char> payload = {});
+  util::Status request_ack(FrameType type);
 
   ClientConfig cfg_;
   int fd_ = -1;

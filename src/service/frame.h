@@ -31,8 +31,8 @@
 //   kMetrics    empty; kText reply with the compact-JSON metrics export.
 //   kHealth     empty; kText reply with per-region health lines.
 //   kCheckpoint empty; commit a checkpoint for every region now (kAck).
-//   kShutdown   empty; kAck, then the server drains every shard, commits a
-//               final checkpoint, and exits its accept loop.
+//   kShutdown   empty; kAck, then the server leaves its poll loop, drains
+//               every shard, and commits a final checkpoint.
 //
 // Server -> client:
 //   kAck        u8 status code, u64 value, message (rest). Reply to hello/
@@ -45,14 +45,19 @@
 //               health changed (value 0, message carries the status).
 //   kText       reply payload for report/metrics/health requests.
 //
-// All integers little-endian. Frames are bounded by kMaxFrameBytes so a
-// garbage length prefix cannot request an arbitrary allocation.
+// All integers little-endian. Frames are bounded by kMaxFrameBytes, and
+// FrameDecoder -- the one parser of this format, on both ends of the wire --
+// grows its buffer only with bytes actually received, so a lying length
+// prefix costs its sender the bytes it sent and nothing more.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -103,28 +108,76 @@ inline std::uint64_t get_u64le(const unsigned char* p) {
   return v;
 }
 
-/// One decoded frame. The payload buffer is reused across read_frame calls.
+/// One decoded frame, owning its payload (read_frame's output; the payload
+/// buffer is reused across calls).
 struct Frame {
   FrameType type = FrameType::kAck;
   std::vector<unsigned char> payload;
 };
 
-/// Read one frame from `fd` (blocking). Non-ok on EOF (kUnavailable with an
+/// One complete frame inside a FrameDecoder's buffer. The payload view is
+/// valid until the decoder is next written (prepare/feed).
+struct FrameView {
+  FrameType type = FrameType::kAck;
+  std::span<const unsigned char> payload;
+};
+
+/// Bytes the read paths ask the socket for at a time (the server's per-poll
+/// recv, read_frame's cap per recv).
+inline constexpr std::size_t kRecvChunk = 64u << 10;
+
+/// Incremental SNTRS1 frame decoder: feed it bytes in any split, take
+/// complete frames out in order. Storage grows only as bytes arrive (at
+/// most about twice what it holds), never to what a length prefix claims.
+class FrameDecoder {
+ public:
+  enum class Next {
+    kFrame,      // `f` holds the next complete frame
+    kNeedMore,   // only a partial frame (or nothing) is buffered
+    kBadLength,  // the pending length prefix is 0 or beyond kMaxFrameBytes; the
+                 // stream cannot be resynchronized, so the peer is dropped
+  };
+
+  /// Room for `n` more bytes at the tail (a recv target); commit() the bytes
+  /// actually written. Invalidates earlier FrameViews.
+  unsigned char* prepare(std::size_t n);
+  void commit(std::size_t n) { tail_ += n; }
+  void feed(std::span<const unsigned char> bytes);
+
+  Next next(FrameView& f);
+
+  /// Bytes still missing before the pending frame is complete (the 5-byte
+  /// header while its length is unknown).
+  std::size_t missing() const;
+  /// Bytes held and not yet taken out as frames / bytes allocated.
+  std::size_t buffered() const { return tail_ - head_; }
+  std::size_t capacity() const { return cap_; }
+
+ private:
+  std::unique_ptr<unsigned char[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t head_ = 0;  // first byte of the pending frame
+  std::size_t tail_ = 0;  // end of the received bytes
+};
+
+/// Read one frame from `fd` (blocking): a recv loop over a FrameDecoder that
+/// asks for no byte past the frame. Non-ok on EOF (kUnavailable with an
 /// empty message when the peer closed cleanly between frames), on a short
-/// or failed read (kDataLoss), and on a length prefix beyond `max_bytes`
-/// (kInvalidArgument). `f.payload` is reused.
-util::Status read_frame(int fd, Frame& f, std::size_t max_bytes = kMaxFrameBytes);
+/// or failed read (kDataLoss), and on a bad length prefix (kInvalidArgument).
+util::Status read_frame(int fd, Frame& f);
 
 /// Write one frame to `fd` (blocking, SIGPIPE suppressed). Non-ok when the
 /// peer is gone or the write fails.
 util::Status write_frame(int fd, FrameType type, const unsigned char* payload, std::size_t len);
-util::Status write_frame(int fd, FrameType type, const std::string& payload);
 
-/// Encode/write the kAck / kEvent shapes (u8 code + u64 value + message).
-util::Status write_ack(int fd, util::StatusCode code, std::uint64_t value,
-                       const std::string& message = "");
-util::Status write_event(int fd, util::StatusCode code, std::uint64_t value,
-                         const std::string& message = "");
+/// Encode one frame onto the end of `out` (the server's reply buffer).
+void append_frame(std::vector<unsigned char>& out, FrameType type,
+                  std::span<const unsigned char> payload);
+void append_frame(std::vector<unsigned char>& out, FrameType type, std::string_view payload);
+
+/// Encode the kAck / kEvent shape (u8 code + u64 value + message) onto `out`.
+void append_ack(std::vector<unsigned char>& out, FrameType type, util::StatusCode code,
+                std::uint64_t value, std::string_view message = {});
 
 /// Decoded kAck / kEvent payload.
 struct AckBody {
@@ -134,6 +187,6 @@ struct AckBody {
 };
 
 /// Parse a kAck / kEvent payload; non-ok on a short payload.
-util::Status parse_ack(const std::vector<unsigned char>& payload, AckBody& body);
+util::Status parse_ack(std::span<const unsigned char> payload, AckBody& body);
 
 }  // namespace sentinel::service
